@@ -29,13 +29,14 @@ from .oracles import (
 from .rounding import (
     BreakpointDecomposition,
     RoundedWeights,
+    RoundingSchedule,
     breakpoints,
     differing_offset_measure,
+    offset_average,
     round_weights,
 )
 from .matching import (
     GreedyTrace,
-    breakpoints_matching,
     greedy_allocate,
     integrate_matching,
     matching_core_allocate,
@@ -43,7 +44,6 @@ from .matching import (
     matching_raw_sensitivity_bound,
     matching_sensitivity_bound,
     normalize_welfare,
-    round_weights_matching,
 )
 from .mst import (
     MST_CORE_FACTOR,

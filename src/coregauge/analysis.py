@@ -7,7 +7,6 @@ CLI decide what a failing report means.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -227,34 +226,22 @@ def lipschitz_scan(
     name: str = "allocator",
     tol: float = SLACK_TOL,
     delta_exponents: Sequence[int] = (0, 1, 2, 3),
-    threads: int = 1,
 ) -> LipschitzReport:
     """One probe per (edge, delta): re-run the allocator on the bumped
     weights and record the l1 change per unit of weight change."""
     base = np.asarray(allocator(inst), dtype=float)
-    jobs = [
-        (e.id, inst.weights[e.id], delta)
-        for e in inst.edges
-        for delta in probe_deltas(inst.weights[e.id], delta_exponents)
-    ]
-
-    def run(job: tuple[int, float, float]) -> ProbeRow:
-        eid, w_e, delta = job
-        bumped = inst.with_weights(perturb(inst.weights, eid, delta))
-        try:
-            out = np.asarray(allocator(bumped), dtype=float)
-        except Exception as exc:
-            raise RuntimeError(
-                f"allocator {name!r} failed on edge {eid} with delta {delta}: {exc}"
-            ) from exc
-        ratio = float(np.abs(out - base).sum() / delta)
-        return ProbeRow(eid, w_e, delta, ratio)
-
-    if threads > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(run, jobs))
-    else:
-        rows = [run(job) for job in jobs]
+    rows = []
+    for e in inst.edges:
+        w_e = inst.weights[e.id]
+        for delta in probe_deltas(w_e, delta_exponents):
+            bumped = inst.with_weights(perturb(inst.weights, e.id, delta))
+            try:
+                out = np.asarray(allocator(bumped), dtype=float)
+            except Exception as exc:
+                raise RuntimeError(
+                    f"allocator {name!r} failed on edge {e.id} with delta {delta}: {exc}"
+                ) from exc
+            rows.append(ProbeRow(e.id, w_e, delta, float(np.abs(out - base).sum() / delta)))
     max_ratio = max((r.ratio for r in rows), default=0.0)
     return LipschitzReport(
         allocator=name,

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import csv
 import json
-import os
+import math
+import sys
 
 import click
 
@@ -47,12 +48,15 @@ EXIT_INPUT_ERROR = 2
 
 
 def _emit(payload: dict, summary: str) -> None:
-    click.echo(json.dumps(payload, sort_keys=True))
-    click.echo(summary, err=True)
+    # Every echo here names its stream: without one, click.echo caches a
+    # wrapper per sys.stdout object for the life of the process, so each
+    # in-process run (click.testing.CliRunner swaps sys.stdout) leaks its buffers.
+    click.echo(json.dumps(payload, sort_keys=True), file=sys.stdout)
+    click.echo(summary, file=sys.stderr)
 
 
 def _fail_input(message: str) -> "click.exceptions.Exit":
-    click.echo(f"error: {message}", err=True)
+    click.echo(f"error: {message}", file=sys.stderr)
     return click.exceptions.Exit(EXIT_INPUT_ERROR)
 
 
@@ -63,21 +67,10 @@ def _load_checked(path: str) -> GameInstance:
         raise _fail_input(str(exc))
     result = validate_instance(inst)
     if not result.ok:
-        click.echo(json.dumps({"violations": list(result.violations)}, sort_keys=True))
+        violations = json.dumps({"violations": list(result.violations)}, sort_keys=True)
+        click.echo(violations, file=sys.stdout)
         raise _fail_input(f"{path}: invalid instance: " + "; ".join(result.violations))
     return inst
-
-
-def _threads(value: int | None) -> int:
-    if value is not None:
-        return max(1, value)
-    env = os.environ.get("COREGAUGE_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise _fail_input(f"COREGAUGE_THREADS is not an integer: {env!r}")
-    return 1
 
 
 @click.group()
@@ -135,13 +128,21 @@ def _load_allocation(path: str, n: int) -> Allocation:
     mapping = data.get("allocation", data) if isinstance(data, dict) else None
     if not isinstance(mapping, dict):
         raise _fail_input(f"{path}: expected an object with per-agent values")
-    values = [0.0] * n
-    try:
-        for key, val in mapping.items():
-            values[int(key)] = float(val)
-    except (ValueError, IndexError) as exc:
-        raise _fail_input(f"{path}: bad allocation entry: {exc}")
-    return Allocation.of(values)
+    values: dict[int, float] = {}
+    for key, val in mapping.items():
+        try:
+            v, x = int(key), float(val)
+        except (TypeError, ValueError, OverflowError):
+            raise _fail_input(f"{path}: bad allocation entry {key!r}: {val!r}")
+        if not 0 <= v < n or v in values:
+            raise _fail_input(f"{path}: allocation key {key!r} is not a distinct agent id in 0..{n - 1}")
+        if not math.isfinite(x):
+            raise _fail_input(f"{path}: allocation value of agent {v} is not finite: {val!r}")
+        values[v] = x
+    missing = [v for v in range(n) if v not in values]
+    if missing:
+        raise _fail_input(f"{path}: no allocation value for agents {missing}")
+    return Allocation.of(values[v] for v in range(n))
 
 
 @main.command("core-check")
@@ -207,7 +208,6 @@ def shapley_cmd(instance_file: str, method: str, samples: int, seed: int) -> Non
 @click.option("--base", type=float, default=None, help="Rounding base for matching-raw.")
 @click.option("--csv", "csv_path", type=click.Path(dir_okay=False), default=None,
               help="Write one row per probe to this file.")
-@click.option("--threads", type=int, default=None, help="Worker threads (or COREGAUGE_THREADS).")
 def lipschitz_cmd(
     instance_file: str,
     allocator: str,
@@ -215,13 +215,12 @@ def lipschitz_cmd(
     epsilon: float | None,
     base: float | None,
     csv_path: str | None,
-    threads: int | None,
 ) -> None:
     """Probe an allocator with single-edge weight bumps."""
     inst = _load_checked(instance_file)
     try:
         fn = named_allocator(allocator, epsilon=epsilon, base=base)
-        report = lipschitz_scan(fn, inst, bound, name=allocator, threads=_threads(threads))
+        report = lipschitz_scan(fn, inst, bound, name=allocator)
     except (ValueError, RuntimeError) as exc:
         raise _fail_input(str(exc))
     if csv_path:

@@ -195,21 +195,22 @@ def instance_from_dict(data: dict) -> GameInstance:
         kind = GameKind(data["kind"])
         n = int(data["n"])
         raw_edges = list(data["edges"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed instance: {exc}") from exc
-    edges = []
-    weights = []
-    for rec in sorted(raw_edges, key=lambda r: r.get("id", 0)):
+    records = []
+    for rec in raw_edges:
         try:
-            edges.append(Edge(int(rec["id"]), int(rec["u"]), int(rec["v"])))
-            weights.append(float(rec["w"]))
-        except (KeyError, TypeError, ValueError) as exc:
+            records.append((int(rec["id"]), int(rec["u"]), int(rec["v"]), float(rec["w"])))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"malformed edge record {rec!r}: {exc}") from exc
-    ids = [e.id for e in edges]
-    if ids != list(range(len(edges))):
-        raise ValueError(f"edge ids must be exactly 0..{len(edges) - 1}, got {ids}")
+    records.sort(key=lambda rec: rec[0])
+    ids = [rec[0] for rec in records]
+    if ids != list(range(len(records))):
+        raise ValueError(f"edge ids must be exactly 0..{len(records) - 1}, got {ids}")
+    edges = tuple(Edge(eid, u, v) for eid, u, v, _ in records)
+    weights = tuple(w for _, _, _, w in records)
     root = ROOT if kind is GameKind.MIN_SPANNING_TREE else None
-    return GameInstance(kind, n, tuple(edges), tuple(weights), root)
+    return GameInstance(kind, n, edges, weights, root)
 
 
 def load_instance(path: str) -> GameInstance:

@@ -11,27 +11,17 @@ times the coalition's own matching value, with l1 sensitivity
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Literal, Sequence
-
-import numpy as np
+from typing import Sequence
 
 from .games import Allocation, GameInstance, GameKind
 from .oracles import max_weight_matching
-from .rounding import BreakpointDecomposition, RoundedWeights, breakpoints, round_weights
-
-ScanOrder = Literal["rounded", "raw"]
+from .rounding import RoundingSchedule, offset_average, round_weights, within_rounding_range
 
 
 def _require_matching(inst: GameInstance) -> None:
     if inst.kind is not GameKind.MATCHING:
         raise ValueError("this allocator requires a matching game")
-
-
-def round_weights_matching(weights: Sequence[float], b: float, base: float) -> RoundedWeights:
-    """Geometric rounding with a caller-chosen base in (1, 2]."""
-    return round_weights(weights, b, base)
 
 
 @dataclass(frozen=True)
@@ -42,35 +32,14 @@ class GreedyTrace:
     raw: tuple[float, ...]
 
 
-def greedy_allocate(
-    inst: GameInstance,
-    weights: Sequence[float],
-    b: float,
-    base: float,
-    order: ScanOrder = "rounded",
-) -> GreedyTrace:
-    """Greedy maximal matching on rounded weights; both endpoints of a
-    matched edge receive its rounded weight.
-
-    Edges are scanned by decreasing rounded weight, ties broken by
-    increasing edge id. ``order="raw"`` scans by the unrounded weights
-    instead; that variant is exposed for comparison only and carries no
-    sensitivity guarantee.
-    """
-    _require_matching(inst)
-    rw = round_weights_matching(weights, b, base)
-    if order == "rounded":
-        ranked = sorted(
-            (eid for eid in range(inst.m) if rw.rounded[eid] > 0),
-            key=lambda eid: (-rw.rounded[eid], eid),
-        )
-    elif order == "raw":
-        ranked = sorted(
-            (eid for eid in range(inst.m) if rw.rounded[eid] > 0),
-            key=lambda eid: (-weights[eid], eid),
-        )
-    else:
-        raise ValueError(f"unknown scan order {order!r}")
+def _greedy(inst: GameInstance, rounded: Sequence[float]) -> GreedyTrace:
+    """Greedy maximal matching on the rounded weights, scanned by decreasing
+    rounded weight with ties broken by increasing edge id; both endpoints
+    of a matched edge receive its rounded weight."""
+    ranked = sorted(
+        (eid for eid in range(inst.m) if rounded[eid] > 0),
+        key=lambda eid: (-rounded[eid], eid),
+    )
     covered = [False] * inst.n
     z = [0.0] * inst.n
     matched: list[int] = []
@@ -80,13 +49,17 @@ def greedy_allocate(
             matched.append(eid)
             covered[e.u] = True
             covered[e.v] = True
-            z[e.u] = rw.rounded[eid]
-            z[e.v] = rw.rounded[eid]
+            z[e.u] = rounded[eid]
+            z[e.v] = rounded[eid]
     return GreedyTrace(tuple(matched), tuple(z))
 
 
-def breakpoints_matching(weights: Sequence[float], base: float) -> BreakpointDecomposition:
-    return breakpoints(weights, base)
+def greedy_allocate(
+    inst: GameInstance, weights: Sequence[float], b: float, base: float
+) -> GreedyTrace:
+    """The greedy run on the weights rounded at offset ``b``."""
+    _require_matching(inst)
+    return _greedy(inst, round_weights(weights, b, base).rounded)
 
 
 def integrate_matching(
@@ -99,15 +72,8 @@ def integrate_matching(
     interval midpoint integrates in closed form.
     """
     _require_matching(inst)
-    decomp = breakpoints_matching(weights, base)
-    log_base = math.log(base)
-    total = np.zeros(inst.n)
-    for lo, hi in decomp.intervals():
-        mid = (lo + hi) / 2.0
-        trace = greedy_allocate(inst, weights, mid, base)
-        factor = (base ** (hi - mid) - base ** (lo - mid)) / log_base
-        total += np.asarray(trace.raw) * factor
-    return Allocation.of(total)
+    schedule = RoundingSchedule.of(weights, base)
+    return offset_average(schedule, lambda rounded: _greedy(inst, rounded).raw)
 
 
 def normalize_welfare(raw: Allocation, grand: float) -> Allocation:
@@ -135,7 +101,7 @@ def matching_core_allocate(
     if not 0.0 < epsilon <= 0.5:
         raise ValueError(f"epsilon must lie in (0, 1/2], got {epsilon}")
     base = 1.0 + 2.0 * epsilon
-    raw = integrate_matching(inst, weights, base)
+    raw = integrate_matching(inst, within_rounding_range(weights), base)
     grand = max_weight_matching(inst.with_weights(weights), range(inst.n))
     return normalize_welfare(raw, grand)
 

@@ -14,16 +14,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Sequence
 
-import numpy as np
-
-from .games import ROOT, Allocation, GameInstance, GameKind
+from .games import ROOT, Allocation, Edge, GameInstance, GameKind
 from .matching import normalize_welfare
-from .oracles import mst_weight
-from .rounding import BreakpointDecomposition, RoundedWeights, breakpoints, round_weights
-
-MERGE_GROUP_TOL = 1e-12
+from .oracles import _sorted_edge_ids, _UnionFind, agents_of, mask_of
+from .rounding import (
+    BreakpointDecomposition,
+    RoundedWeights,
+    RoundingSchedule,
+    offset_average,
+    within_rounding_range,
+)
 
 MST_BASE = 2.0
 
@@ -35,7 +38,16 @@ def _require_mst(inst: GameInstance) -> None:
 
 def round_weights_mst(weights: Sequence[float], b: float) -> RoundedWeights:
     """Geometric rounding with the base fixed at 2."""
-    return round_weights(weights, b, MST_BASE)
+    return RoundingSchedule.of(weights, MST_BASE).at(b)
+
+
+def breakpoints_mst(weights: Sequence[float]) -> BreakpointDecomposition:
+    return RoundingSchedule.of(weights, MST_BASE).decomposition
+
+
+def _slots(e: Edge, n: int) -> tuple[int, int]:
+    """Union-find slots of an edge's endpoints; the supply vertex is slot n."""
+    return (n if e.u == ROOT else e.u, n if e.v == ROOT else e.v)
 
 
 @dataclass(frozen=True)
@@ -81,62 +93,33 @@ class AuxiliaryTree:
 def auxiliary_tree(inst: GameInstance, rounded: Sequence[float]) -> AuxiliaryTree:
     """Merge dendrogram of Kruskal's algorithm on the given weights.
 
-    Equal weights (within MERGE_GROUP_TOL) are added simultaneously; every
-    component created by such a batch becomes one node whose children are
-    the components it swallowed.
+    Equal weights are added simultaneously; every component created by
+    such a batch becomes one node whose children are the components it
+    swallowed. Equal rounding exponents give bit-identical rounded
+    weights, so the batches are formed by exact equality.
     """
     _require_mst(inst)
     n = inst.n
-    supply_slot = n
-    nodes: list[TreeNode] = []
-    for v in range(n):
-        nodes.append(TreeNode(v, 0.0, (), v, 1 << v, False))
+    nodes = [TreeNode(v, 0.0, (), v, 1 << v, False) for v in range(n)]
     nodes.append(TreeNode(n, 0.0, (), ROOT, 0, True))
-
-    parent = list(range(n + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    uf = _UnionFind(n + 1)
     node_of: dict[int, int] = {slot: slot for slot in range(n + 1)}
 
     order = sorted(range(inst.m), key=lambda eid: (rounded[eid], eid))
-    pos = 0
-    while pos < len(order):
-        level = rounded[order[pos]]
-        group = []
-        while pos < len(order) and rounded[order[pos]] - level <= MERGE_GROUP_TOL:
-            group.append(order[pos])
-            pos += 1
-        touched: set[int] = set()
-        for eid in group:
-            e = inst.edges[eid]
-            a = supply_slot if e.u == ROOT else e.u
-            b = supply_slot if e.v == ROOT else e.v
-            touched.add(find(a))
-            touched.add(find(b))
-        for eid in group:
-            e = inst.edges[eid]
-            a = supply_slot if e.u == ROOT else e.u
-            b = supply_slot if e.v == ROOT else e.v
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[rb] = ra
+    for level, batch in groupby(order, key=lambda eid: rounded[eid]):
+        ends = [_slots(inst.edges[eid], n) for eid in batch]
+        touched = {uf.find(x) for pair in ends for x in pair}
+        for a, b in ends:
+            uf.union(a, b)
         clusters: dict[int, list[int]] = {}
         for old in touched:
-            clusters.setdefault(find(old), []).append(old)
+            clusters.setdefault(uf.find(old), []).append(old)
         for new_root, olds in clusters.items():
             if len(olds) < 2:
                 continue
             child_ids = sorted(node_of.pop(o) for o in olds)
-            mask = 0
-            supply = False
-            for cid in child_ids:
-                mask |= nodes[cid].agent_mask
-                supply = supply or nodes[cid].has_supply
+            mask = sum(nodes[c].agent_mask for c in child_ids)  # disjoint subtrees
+            supply = any(nodes[c].has_supply for c in child_ids)
             nid = len(nodes)
             nodes.append(TreeNode(nid, level, tuple(child_ids), None, mask, supply))
             node_of[new_root] = nid
@@ -146,34 +129,31 @@ def auxiliary_tree(inst: GameInstance, rounded: Sequence[float]) -> AuxiliaryTre
     return AuxiliaryTree(tuple(nodes), top)
 
 
-def mst_allocate(inst: GameInstance, weights: Sequence[float], b: float) -> Allocation:
-    """Fixed-offset cost shares: every dendrogram edge whose subtree
-    avoids the supply vertex splits the parent height over its agents."""
-    _require_mst(inst)
-    rw = round_weights_mst(weights, b)
-    tree = auxiliary_tree(inst, rw.rounded)
-    z = [0.0] * inst.n
+def _shares(tree: AuxiliaryTree, n: int) -> list[float]:
+    """Every dendrogram edge whose subtree avoids the supply vertex splits
+    the parent height evenly over the agents below it."""
+    z = [0.0] * n
     for parent_node, child in tree.parent_edges():
         if child.has_supply:
             continue
-        count = child.agent_mask.bit_count()
-        share = parent_node.height / count
-        mask = child.agent_mask
-        v = 0
-        while mask:
-            if mask & 1:
-                z[v] += share
-            mask >>= 1
-            v += 1
-    return Allocation.of(z)
+        share = parent_node.height / child.agent_mask.bit_count()
+        for v in agents_of(child.agent_mask):
+            z[v] += share
+    return z
+
+
+def mst_allocate(inst: GameInstance, weights: Sequence[float], b: float) -> Allocation:
+    """Fixed-offset cost shares from the dendrogram of the whole graph
+    rounded at offset ``b``."""
+    _require_mst(inst)
+    tree = auxiliary_tree(inst, round_weights_mst(weights, b).rounded)
+    return Allocation.of(_shares(tree, inst.n))
 
 
 def connector_sum(tree: AuxiliaryTree, S: Sequence[int] | set[int]) -> float:
     """Telescoped height drop over the minimal subtree joining S and the
     supply leaf, restricted to edges whose subtree avoids the supply."""
-    smask = 0
-    for v in S:
-        smask |= 1 << v
+    smask = mask_of(S)
     total = 0.0
     for parent_node, child in tree.parent_edges():
         if child.has_supply:
@@ -184,8 +164,30 @@ def connector_sum(tree: AuxiliaryTree, S: Sequence[int] | set[int]) -> float:
     return total
 
 
-def breakpoints_mst(weights: Sequence[float]) -> BreakpointDecomposition:
-    return breakpoints(weights, MST_BASE)
+def _spanning_game(inst: GameInstance, weights: Sequence[float]) -> GameInstance:
+    """The n edges Kruskal's algorithm keeps on ``weights``, renumbered
+    0..n-1 in the order it takes them.
+
+    Rounding up is monotone, so below every threshold the rounded graph
+    and its rounded tree edges have the same components: the merge
+    dendrogram at any offset depends on these edges only.
+    """
+    uf = _UnionFind(inst.n + 1)
+    edges: list[Edge] = []
+    kept: list[float] = []
+    for eid in _sorted_edge_ids(inst, weights):
+        e = inst.edges[eid]
+        if uf.union(*_slots(e, inst.n)):
+            edges.append(Edge(len(edges), e.u, e.v))
+            kept.append(weights[eid])
+    return GameInstance(inst.kind, inst.n, tuple(edges), tuple(kept), inst.root)
+
+
+def _tree_integral(spanning: GameInstance) -> Allocation:
+    def rule(rounded: Sequence[float]) -> list[float]:
+        return _shares(auxiliary_tree(spanning, rounded), spanning.n)
+
+    return offset_average(RoundingSchedule.of(spanning.weights, MST_BASE), rule)
 
 
 def integrate_mst(inst: GameInstance, weights: Sequence[float]) -> Allocation:
@@ -193,26 +195,19 @@ def integrate_mst(inst: GameInstance, weights: Sequence[float]) -> Allocation:
 
     Between breakpoints the dendrogram shape is constant and all heights
     scale as 2**b, so one run per interval midpoint integrates exactly.
+    Only the n minimum spanning tree edges matter (see _spanning_game).
     """
     _require_mst(inst)
-    decomp = breakpoints_mst(weights)
-    log_base = math.log(MST_BASE)
-    total = np.zeros(inst.n)
-    for lo, hi in decomp.intervals():
-        mid = (lo + hi) / 2.0
-        z = mst_allocate(inst, weights, mid)
-        factor = (MST_BASE ** (hi - mid) - MST_BASE ** (lo - mid)) / log_base
-        total += z.as_array() * factor
-    return Allocation.of(total)
+    return _tree_integral(_spanning_game(inst, weights))
 
 
 def mst_core_allocate(inst: GameInstance, weights: Sequence[float]) -> Allocation:
     """Allocation in the 4-approximate core of the spanning-tree game,
     summing to the true minimum spanning tree cost."""
     _require_mst(inst)
-    raw = integrate_mst(inst, weights)
-    grand = mst_weight(inst.with_weights(weights), range(inst.n))
-    return normalize_welfare(raw, grand)
+    spanning = _spanning_game(inst, weights)
+    raw = _tree_integral(spanning.with_weights(within_rounding_range(spanning.weights)))
+    return normalize_welfare(raw, math.fsum(spanning.weights))
 
 
 MST_CORE_FACTOR = 4.0

@@ -11,19 +11,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
+
+import numpy as np
+
+from .games import Allocation
 
 BREAKPOINT_TOL = 1e-12
+
+# Rounding up and summing weights of at most 2**1000 stays finite.
+WEIGHT_CAP_EXPONENT = 1000
 
 
 def _check_base(base: float) -> None:
     if not 1.0 < base <= 2.0:
         raise ValueError(f"base must lie in (1, 2], got {base}")
-
-
-def _check_offset(b: float) -> None:
-    if not 0.0 <= b <= 1.0:
-        raise ValueError(f"offset must lie in [0, 1], got {b}")
 
 
 def rounding_exponent(w: float, b: float, base: float) -> int:
@@ -51,25 +53,6 @@ class RoundedWeights:
     rounded: tuple[float, ...]
 
 
-def round_weights(weights: Sequence[float], b: float, base: float) -> RoundedWeights:
-    """Snap each positive weight up to the next base**(i+1+b) level."""
-    _check_base(base)
-    _check_offset(b)
-    exponents: list[int | None] = []
-    rounded: list[float] = []
-    for w in weights:
-        if w < 0:
-            raise ValueError(f"negative weight {w}")
-        if w == 0:
-            exponents.append(None)
-            rounded.append(0.0)
-        else:
-            i = rounding_exponent(w, b, base)
-            exponents.append(i)
-            rounded.append(base ** (i + 1 + b))
-    return RoundedWeights(base, b, tuple(exponents), tuple(rounded))
-
-
 @dataclass(frozen=True)
 class BreakpointDecomposition:
     """Sorted offsets 0 = t_0 < ... < t_{k+1} = 1 between which every
@@ -84,62 +67,115 @@ class BreakpointDecomposition:
         return [(lo + hi) / 2.0 for lo, hi in self.intervals()]
 
 
-def breakpoints(weights: Sequence[float], base: float) -> BreakpointDecomposition:
-    """Offsets at which some edge's rounding exponent changes.
+@dataclass(frozen=True)
+class RoundingSchedule:
+    """The rounding of one weight vector at every offset in [0, 1].
 
-    Zero weights contribute nothing; values within BREAKPOINT_TOL of each
-    other or of the endpoints are merged.
+    Each positive weight's exponent i at offset 0 and the fractional part
+    of its log are computed once. At offset b the exponent stays i while
+    base**(i + b) <= w and is i - 1 after, so rounding at any offset costs
+    one comparison per edge against a power computed once per level.
     """
-    _check_base(base)
-    interior = set()
-    for w in weights:
-        if w > 0:
-            c = math.log(w, base)
-            frac = c - math.floor(c)
+
+    base: float
+    weights: tuple[float, ...]
+    start_exponents: tuple[int | None, ...]
+    decomposition: BreakpointDecomposition
+
+    @classmethod
+    def of(cls, weights: Sequence[float], base: float) -> "RoundingSchedule":
+        """Exponents and breakpoints of ``weights``; fractional logs within
+        BREAKPOINT_TOL of each other or of the endpoints are merged."""
+        _check_base(base)
+        exponents: list[int | None] = []
+        interior = set()
+        for w in weights:
+            if w < 0:
+                raise ValueError(f"negative weight {w}")
+            if w == 0:
+                exponents.append(None)
+                continue
+            i = rounding_exponent(w, 0.0, base)
+            exponents.append(i)
+            frac = math.log(w, base) - i
             if BREAKPOINT_TOL < frac < 1.0 - BREAKPOINT_TOL:
                 interior.add(frac)
-    points = [0.0]
-    for t in sorted(interior):
-        if t - points[-1] > BREAKPOINT_TOL:
-            points.append(t)
-    if 1.0 - points[-1] <= BREAKPOINT_TOL:
-        points[-1] = 1.0
-    else:
-        points.append(1.0)
-    return BreakpointDecomposition(tuple(points))
+        points = [0.0]
+        for t in sorted(interior):
+            if t - points[-1] > BREAKPOINT_TOL:
+                points.append(t)
+        points.append(1.0)  # interior points lie below 1 - BREAKPOINT_TOL
+        return cls(base, tuple(weights), tuple(exponents), BreakpointDecomposition(tuple(points)))
+
+    def at(self, b: float) -> RoundedWeights:
+        """Exponents and rounded weights at offset ``b``."""
+        if not 0.0 <= b <= 1.0:
+            raise ValueError(f"offset must lie in [0, 1], got {b}")
+        starts = {i for i in self.start_exponents if i is not None}
+        levels = {k: self.base ** (k + b) for i in starts for k in (i, i + 1)}
+        exponents = tuple(
+            i if i is None or levels[i] <= w else i - 1
+            for w, i in zip(self.weights, self.start_exponents)
+        )
+        rounded = tuple(0.0 if i is None else levels[i + 1] for i in exponents)
+        return RoundedWeights(self.base, b, exponents, rounded)
 
 
-def merged_breakpoints(
-    weights_a: Sequence[float], weights_b: Sequence[float], base: float
-) -> BreakpointDecomposition:
-    """Common refinement of the decompositions of two weight vectors."""
-    pts = sorted(set(breakpoints(weights_a, base).points) | set(breakpoints(weights_b, base).points))
-    merged = [0.0]
-    for t in pts[1:]:
-        if t - merged[-1] > BREAKPOINT_TOL:
-            merged.append(t)
-    if merged[-1] != 1.0:
-        merged[-1] = 1.0
-    return BreakpointDecomposition(tuple(merged))
+def round_weights(weights: Sequence[float], b: float, base: float) -> RoundedWeights:
+    """Snap each positive weight up to the next base**(i+1+b) level."""
+    return RoundingSchedule.of(weights, base).at(b)
+
+
+def breakpoints(weights: Sequence[float], base: float) -> BreakpointDecomposition:
+    """Offsets at which some edge's rounding exponent changes; zero weights
+    contribute nothing."""
+    return RoundingSchedule.of(weights, base).decomposition
+
+
+def offset_average(
+    schedule: RoundingSchedule, rule: Callable[[tuple[float, ...]], Sequence[float]]
+) -> Allocation:
+    """Exact average over offsets b in [0, 1] of ``rule(rounded weights at b)``.
+
+    ``rule`` must be homogeneous of degree one in the rounded vector while
+    the exponents stay fixed. Within each interval between breakpoints
+    the exponents are constant and the rounded vector scales as base**b,
+    so one call at the interval midpoint integrates in closed form.
+    """
+    base = schedule.base
+    log_base = math.log(base)
+    total = 0.0
+    for lo, hi in schedule.decomposition.intervals():
+        mid = (lo + hi) / 2.0
+        factor = (base ** (hi - mid) - base ** (lo - mid)) / log_base
+        total += np.asarray(rule(schedule.at(mid).rounded), dtype=float) * factor
+    return Allocation.of(total)
+
+
+def within_rounding_range(weights: Sequence[float]) -> Sequence[float]:
+    """``weights`` unchanged if none exceeds 2**WEIGHT_CAP_EXPONENT, else
+    times the least power of two 2**-s that brings the largest below it.
+
+    The offset average is homogeneous, so an allocator normalized to the
+    true grand value gives the same answer on the scaled weights.
+    """
+    top = max(weights, default=0.0)
+    if top <= 2.0**WEIGHT_CAP_EXPONENT:
+        return weights
+    shift = math.frexp(top)[1] - WEIGHT_CAP_EXPONENT
+    return tuple(math.ldexp(w, -shift) for w in weights)
 
 
 def differing_offset_measure(w_before: float, w_after: float, base: float) -> float:
     """Total length of offsets b at which the two weights round differently.
 
-    Computed from the merged breakpoint decomposition by comparing the
-    exponents at each sub-interval midpoint.
+    Computed from the common breakpoint decomposition of both weights by
+    comparing their exponents at each sub-interval midpoint.
     """
-    _check_base(base)
-    if w_before < 0 or w_after < 0:
-        raise ValueError("weights must be nonnegative")
-    if w_before == w_after:
-        return 0.0
-    if (w_before == 0) != (w_after == 0):
-        return 1.0
-    decomp = merged_breakpoints([w_before], [w_after], base)
+    schedule = RoundingSchedule.of((w_before, w_after), base)
     total = 0.0
-    for lo, hi in decomp.intervals():
-        mid = (lo + hi) / 2.0
-        if rounding_exponent(w_before, mid, base) != rounding_exponent(w_after, mid, base):
+    for lo, hi in schedule.decomposition.intervals():
+        first, second = schedule.at((lo + hi) / 2.0).exponents
+        if first != second:
             total += hi - lo
     return total

@@ -20,12 +20,8 @@ from coregauge.games import GameKind, l1_distance, perturb
 from coregauge.matching import matching_core_allocate
 from coregauge.mst import mst_core_allocate
 from coregauge.instances import gen_path_pair_bumped, gen_path_pair_zero_ends, gen_random
-from coregauge.matching import (
-    breakpoints_matching,
-    greedy_allocate,
-    integrate_matching,
-    round_weights_matching,
-)
+from coregauge.matching import greedy_allocate, integrate_matching
+from coregauge.rounding import breakpoints as breakpoints_matching, round_weights as round_weights_matching
 from coregauge.mst import breakpoints_mst, integrate_mst, mst_allocate, round_weights_mst
 from coregauge.oracles import char_table
 from coregauge.rounding import differing_offset_measure

@@ -146,14 +146,6 @@ def test_lipschitz_scan_shapley_on_mst_meets_two_delta():
     assert report.passed
 
 
-def test_lipschitz_scan_threads_match_serial():
-    inst = gen_random(GameKind.MATCHING, 6, 0.5, 10.0, 40)
-    fn = named_allocator("matching-core", epsilon=0.25)
-    serial = lipschitz_scan(fn, inst, 49.0, name="matching-core")
-    threaded = lipschitz_scan(fn, inst, 49.0, name="matching-core", threads=4)
-    assert [r.ratio for r in serial.rows] == [r.ratio for r in threaded.rows]
-
-
 def test_lipschitz_scan_shapley_on_paths_tracks_the_lower_bound():
     for n in (5, 7, 9):
         inst = gen_path_uniform(n)

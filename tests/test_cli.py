@@ -1,3 +1,5 @@
+import gc
+import io
 import json
 import math
 
@@ -188,12 +190,73 @@ def test_lipschitz_command_fail_exits_one(runner, tmp_path):
     assert result.exit_code == 1
 
 
-def test_lipschitz_threads_env(runner, tmp_path, monkeypatch):
-    monkeypatch.setenv("COREGAUGE_THREADS", "3")
-    path = write_single_edge(tmp_path)
-    result = invoke(runner, ["lipschitz", str(path), "--allocator", "matching-core",
-                             "--epsilon", "0.25", "--bound", "49"])
+@pytest.mark.parametrize(
+    "inst,extra",
+    [
+        (matching_instance(2, [(0, 1, 1.7e308)]), ["--epsilon", "0.25"]),
+        (matching_instance(3, [(0, 1, 1.7e308), (1, 2, 2.0)]), ["--epsilon", "0.05"]),
+        (mst_instance(1, [(ROOT, 0, 1.7e308)]), []),
+        (mst_instance(2, [(ROOT, 0, 1.7e308), (ROOT, 1, 3.0), (0, 1, 1.0)]), []),
+    ],
+    ids=["matching-edge", "matching-path", "mst-edge", "mst-triangle"],
+)
+def test_allocate_weights_near_the_float_limit(runner, tmp_path, inst, extra):
+    path = tmp_path / "huge.json"
+    dump_instance(inst, str(path))
+    result = invoke(runner, ["allocate", str(path), *extra])
     assert result.exit_code == 0
+    payload = payload_of(result)
+    total = math.fsum(payload["allocation"].values())
+    assert abs(total - payload["grand_value"]) <= 1e-12 * payload["grand_value"]
+
+
+def expect_input_error(result, needle):
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert needle in result.output
+
+
+def test_allocate_rejects_an_edge_record_that_is_not_an_object(runner, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"kind": "matching", "n": 2, "edges": [5]}))
+    result = runner.invoke(main, ["allocate", str(bad), "--epsilon", "0.25"])
+    expect_input_error(result, "malformed edge record 5")
+
+
+@pytest.mark.parametrize(
+    "allocation,needle",
+    [
+        ({"0": 0.5, "-1": 0.5}, "not a distinct agent id"),
+        ({"0": 0.5, "2": 0.5}, "not a distinct agent id"),
+        ({"0": 0.5, "00": 0.5}, "not a distinct agent id"),
+        ({"0": 1.0}, "no allocation value for agents [1]"),
+        ({"0": 0.5, "1": "nan"}, "not finite"),
+        ({"0": 0.5, "1": [1]}, "bad allocation entry"),
+    ],
+    ids=["negative-key", "key-past-n", "duplicate-agent", "missing-agent", "nan", "list"],
+)
+def test_core_check_rejects_bad_allocation_entries(runner, tmp_path, allocation, needle):
+    path = write_single_edge(tmp_path)
+    alloc_path = tmp_path / "alloc.json"
+    alloc_path.write_text(json.dumps({"allocation": allocation}))
+    result = runner.invoke(main, ["core-check", str(path), str(alloc_path), "--alpha", "0.25"])
+    expect_input_error(result, needle)
+
+
+def test_in_process_runs_release_their_streams(runner, tmp_path):
+    # each CliRunner run swaps in new sys.stdout/sys.stderr wrappers; nothing
+    # in the CLI may keep them alive once the run is over
+    path = write_mst3(tmp_path)
+
+    def live_wrappers():
+        gc.collect()
+        return sum(isinstance(o, io.TextIOWrapper) for o in gc.get_objects())
+
+    invoke(runner, ["allocate", str(path)])
+    before = live_wrappers()
+    for _ in range(20):
+        invoke(runner, ["allocate", str(path)])
+    assert live_wrappers() - before < 20
 
 
 def test_gen_round_trips_through_allocate(runner, tmp_path):

@@ -7,16 +7,15 @@ from coregauge.analysis import core_check
 from coregauge.games import GameKind, l1_distance, perturb
 from coregauge.instances import gen_path_uniform, gen_random
 from coregauge.matching import (
-    breakpoints_matching,
     greedy_allocate,
     integrate_matching,
     matching_core_allocate,
     normalize_welfare,
-    round_weights_matching,
 )
 from coregauge.games import Allocation
 from coregauge.oracles import agents_of, char_table, max_weight_matching
-from coregauge.rounding import differing_offset_measure, merged_breakpoints, rounding_exponent
+from coregauge.rounding import breakpoints as breakpoints_matching, round_weights as round_weights_matching
+from coregauge.rounding import differing_offset_measure, rounding_exponent
 
 from conftest import matching_instance
 from mc_oracle import mc_matching_samples, mc_mean_and_se
@@ -74,19 +73,6 @@ def test_greedy_tie_break_prefers_lower_edge_id():
     inst = matching_instance(3, [(0, 1, 1.0), (1, 2, 1.0)])
     trace = greedy_allocate(inst, inst.weights, 0.2, 2.0)
     assert trace.matching == (0,)
-
-
-def test_greedy_raw_order_flag_changes_the_scan_key():
-    # the two weights round to the same value, so the rounded scan ties on
-    # edge id while the raw scan starts with the heavier edge
-    inst = matching_instance(3, [(0, 1, 3.9), (1, 2, 4.0)])
-    b = 0.9
-    rw = round_weights_matching(inst.weights, b, 2.0)
-    assert rw.rounded[0] == rw.rounded[1]
-    by_rounded = greedy_allocate(inst, inst.weights, b, 2.0, order="rounded")
-    by_raw = greedy_allocate(inst, inst.weights, b, 2.0, order="raw")
-    assert by_rounded.matching == (0,)
-    assert by_raw.matching == (1,)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -272,13 +258,3 @@ def test_core_allocate_path5_passes_core_check():
 def test_core_allocate_zero_weights():
     zeros = matching_instance(3, [(0, 1, 0.0), (1, 2, 0.0)])
     assert matching_core_allocate(zeros, zeros.weights, 0.25).values == (0.0, 0.0, 0.0)
-
-
-@pytest.mark.parametrize("seed", range(2))
-def test_merged_breakpoints_cover_both_vectors(seed):
-    inst = gen_random(GameKind.MATCHING, 6, 0.6, 10.0, seed)
-    bumped = perturb(inst.weights, 0, inst.weights[0] / 3)
-    merged = merged_breakpoints(inst.weights, bumped, 1.5)
-    own = set(breakpoints_matching(inst.weights, 1.5).points)
-    for t in own:
-        assert any(abs(t - s) <= 1e-9 for s in merged.points)
