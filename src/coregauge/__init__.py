@@ -21,10 +21,12 @@ from .oracles import (
     agents_of,
     char_table,
     char_value,
+    coalition_values,
     marginal_monotonicity_check,
     mask_of,
     max_weight_matching,
     mst_weight,
+    spanning_edges,
 )
 from .rounding import (
     BreakpointDecomposition,

@@ -17,7 +17,7 @@ import numpy as np
 from .games import Allocation, GameInstance, GameKind, perturb
 from .matching import integrate_matching, matching_core_allocate
 from .mst import integrate_mst, mst_core_allocate
-from .oracles import CharTable, _matching_table, _mst_value, _sorted_edge_ids, agents_of, char_table
+from .oracles import CharTable, agents_of, char_table, coalition_values
 from .shapley import shapley_exact
 from .exactlp import solve_feasible
 
@@ -53,12 +53,21 @@ class CoreReport:
         }
 
 
-def _subset_sums(values: Sequence[float], n: int) -> np.ndarray:
-    """sums[mask] = sum of values over the agents in mask, for all masks."""
-    sums = np.zeros(1)
+def _subset_sums(values: Sequence, n: int) -> np.ndarray:
+    """sums[mask] = sum of values over the agents in mask, for all masks;
+    Fractions stay exact in an object array."""
+    sums = np.zeros(1, dtype=np.asarray(values).dtype)
     for v in range(n):
         sums = np.concatenate([sums, sums + values[v]])
     return sums
+
+
+def _slacks(table: CharTable, x: Allocation, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Allocated sums and relaxed-constraint slacks of every coalition, by mask."""
+    sums = _subset_sums(x.values, table.game.n)
+    if table.game.kind is GameKind.MATCHING:
+        return sums, sums - alpha * table.values
+    return sums, alpha * table.values - sums
 
 
 def core_check(
@@ -86,17 +95,12 @@ def core_check(
         raise ValueError(f"cost games need alpha >= 1, got {alpha}")
     if table is None:
         table = char_table(inst)
-    nu = table.values
-    sums = _subset_sums(x.values, inst.n)
+    sums, slack = _slacks(table, x, alpha)
     full = (1 << inst.n) - 1
-    if welfare:
-        slack = sums - alpha * nu
-    else:
-        slack = alpha * nu - sums
     slack[full] = np.inf  # grand coalition handled by the residual
     worst_mask = int(np.argmin(slack))
     worst_slack = float(slack[worst_mask])
-    grand_residual = abs(float(sums[full]) - float(nu[full]))
+    grand_residual = abs(float(sums[full]) - float(table.values[full]))
     passed = worst_slack >= -tol and grand_residual <= grand_tol
     return CoreReport(
         alpha=alpha,
@@ -109,30 +113,12 @@ def core_check(
 
 
 def iter_core_rows(
-    inst: GameInstance, x: Allocation, alpha: float
+    table: CharTable, x: Allocation, alpha: float
 ) -> Iterator[tuple[tuple[int, ...], float, float, float]]:
     """(subset, coalition value, allocated sum, slack) for every proper coalition."""
-    table = char_table(inst)
-    sums = _subset_sums(x.values, inst.n)
-    welfare = inst.kind is GameKind.MATCHING
-    full = (1 << inst.n) - 1
-    for mask in range(full):
-        nu = float(table.values[mask])
-        got = float(sums[mask])
-        slack = got - alpha * nu if welfare else alpha * nu - got
-        yield agents_of(mask), nu, got, slack
-
-
-def _exact_char_values(inst: GameInstance) -> list[Fraction]:
-    """Coalition values for all masks in exact rational arithmetic."""
-    weights = [Fraction(w) for w in inst.weights]
-    if inst.kind is GameKind.MATCHING:
-        return [Fraction(v) for v in _matching_table(inst, weights)]
-    order = _sorted_edge_ids(inst, weights)
-    vals = [Fraction(0)] * (1 << inst.n)
-    for mask in range(1, 1 << inst.n):
-        vals[mask] = Fraction(_mst_value(inst, weights, mask, order))
-    return vals
+    sums, slack = _slacks(table, x, alpha)
+    for mask in range(len(sums) - 1):
+        yield agents_of(mask), float(table.values[mask]), float(sums[mask]), float(slack[mask])
 
 
 def exact_core_solve(inst: GameInstance) -> Allocation | None:
@@ -145,26 +131,19 @@ def exact_core_solve(inst: GameInstance) -> Allocation | None:
     n = inst.n
     if n > EXACT_SOLVE_MAX_AGENTS:
         raise ValueError(f"exact_core_solve is limited to {EXACT_SOLVE_MAX_AGENTS} agents, got {n}")
-    nu = _exact_char_values(inst)
+    nu = coalition_values(inst, [Fraction(w) for w in inst.weights])
     full = (1 << n) - 1
     welfare = inst.kind is GameKind.MATCHING
     rel = ">=" if welfare else "<="
-
-    def coeffs(mask: int) -> list[Fraction]:
-        return [Fraction(1) if (mask >> v) & 1 else Fraction(0) for v in range(n)]
-
     active: list[int] = [1 << v for v in range(n)]
     active_set = set(active)
     while True:
-        constraints: list = [(coeffs(full), "==", nu[full])]
-        constraints += [(coeffs(mask), rel, nu[mask]) for mask in active]
+        constraints: list = [([1] * n, "==", nu[full])]
+        constraints += [([(mask >> v) & 1 for v in range(n)], rel, nu[mask]) for mask in active]
         point = solve_feasible(n, constraints)
         if point is None:
             return None
-        sums: list[Fraction] = [Fraction(0)] * (1 << n)
-        for mask in range(1, 1 << n):
-            low = mask & -mask
-            sums[mask] = sums[mask ^ low] + point[low.bit_length() - 1]
+        sums = _subset_sums(point, n)
         worst_mask = -1
         worst_gap = Fraction(0)
         for mask in range(1, full):
@@ -229,18 +208,20 @@ def lipschitz_scan(
 ) -> LipschitzReport:
     """One probe per (edge, delta): re-run the allocator on the bumped
     weights and record the l1 change per unit of weight change."""
-    base = np.asarray(allocator(inst), dtype=float)
+
+    def run(target: GameInstance, where: str) -> np.ndarray:
+        try:
+            return np.asarray(allocator(target), dtype=float)
+        except Exception as exc:
+            raise RuntimeError(f"allocator {name!r} failed {where}: {exc}") from exc
+
+    base = run(inst, "on the unperturbed instance")
     rows = []
     for e in inst.edges:
         w_e = inst.weights[e.id]
         for delta in probe_deltas(w_e, delta_exponents):
             bumped = inst.with_weights(perturb(inst.weights, e.id, delta))
-            try:
-                out = np.asarray(allocator(bumped), dtype=float)
-            except Exception as exc:
-                raise RuntimeError(
-                    f"allocator {name!r} failed on edge {e.id} with delta {delta}: {exc}"
-                ) from exc
+            out = run(bumped, f"on edge {e.id} with delta {delta}")
             rows.append(ProbeRow(e.id, w_e, delta, float(np.abs(out - base).sum() / delta)))
     max_ratio = max((r.ratio for r in rows), default=0.0)
     return LipschitzReport(

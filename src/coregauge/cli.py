@@ -12,12 +12,15 @@ import csv
 import json
 import math
 import sys
+from contextlib import contextmanager
+from typing import Iterable, Iterator
 
 import click
 
 from . import __version__
 from .analysis import (
     ALLOCATOR_NAMES,
+    CORE_CHECK_MAX_AGENTS,
     core_check,
     iter_core_rows,
     lipschitz_scan,
@@ -40,7 +43,7 @@ from .mst import (
     mst_sensitivity_bound,
     round_weights_mst,
 )
-from .oracles import char_value
+from .oracles import char_table, char_value
 from .shapley import shapley_exact, shapley_sample
 
 EXIT_CHECK_FAILED = 1
@@ -51,7 +54,11 @@ def _emit(payload: dict, summary: str) -> None:
     # Every echo here names its stream: without one, click.echo caches a
     # wrapper per sys.stdout object for the life of the process, so each
     # in-process run (click.testing.CliRunner swaps sys.stdout) leaks its buffers.
-    click.echo(json.dumps(payload, sort_keys=True), file=sys.stdout)
+    try:
+        text = json.dumps(payload, sort_keys=True, allow_nan=False)
+    except ValueError:
+        raise _fail_input("a result exceeds the float range")
+    click.echo(text, file=sys.stdout)
     click.echo(summary, file=sys.stderr)
 
 
@@ -60,11 +67,26 @@ def _fail_input(message: str) -> "click.exceptions.Exit":
     return click.exceptions.Exit(EXIT_INPUT_ERROR)
 
 
-def _load_checked(path: str) -> GameInstance:
+@contextmanager
+def _input_errors(*errors: type[Exception]) -> Iterator[None]:
+    """Exit 2 with a message on a ValueError, the library's signal for bad
+    input or parameters, or on any of ``errors``."""
     try:
-        inst = load_instance(path)
-    except (OSError, ValueError) as exc:
+        yield
+    except (ValueError, *errors) as exc:
         raise _fail_input(str(exc))
+
+
+def _write_csv(path: str, header: list[str], rows: Iterable[list]) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _load_checked(path: str) -> GameInstance:
+    with _input_errors(OSError):
+        inst = load_instance(path)
     result = validate_instance(inst)
     if not result.ok:
         violations = json.dumps({"violations": list(result.violations)}, sort_keys=True)
@@ -97,15 +119,20 @@ def allocate(instance_file: str, game: str, epsilon: float | None, dump_tree: st
             raise _fail_input(f"epsilon must lie in (0, 1/2], got {epsilon}")
         if dump_tree is not None:
             raise _fail_input("--dump-tree applies only to spanning-tree games")
-        x = matching_core_allocate(inst, inst.weights, epsilon)
+        with _input_errors():
+            x = matching_core_allocate(inst, inst.weights, epsilon)
         factor = matching_core_factor(epsilon)
         bound = matching_sensitivity_bound(epsilon)
     else:
-        x = mst_core_allocate(inst, inst.weights)
+        with _input_errors():
+            x = mst_core_allocate(inst, inst.weights)
         factor = MST_CORE_FACTOR
         bound = mst_sensitivity_bound()
         if dump_tree is not None:
-            tree = auxiliary_tree(inst, round_weights_mst(inst.weights, 0.0).rounded)
+            try:
+                tree = auxiliary_tree(inst, round_weights_mst(inst.weights, 0.0).rounded)
+            except OverflowError:
+                raise _fail_input("--dump-tree: a rounded weight exceeds the float range")
             with open(dump_tree, "w", encoding="utf-8") as fh:
                 json.dump(tree.to_dict(), fh, sort_keys=True)
                 fh.write("\n")
@@ -155,16 +182,14 @@ def core_check_cmd(instance_file: str, allocation_file: str, alpha: float, csv_p
     """Check an allocation against every relaxed coalition constraint."""
     inst = _load_checked(instance_file)
     x = _load_allocation(allocation_file, inst.n)
-    try:
-        report = core_check(inst, x, alpha)
-    except ValueError as exc:
-        raise _fail_input(str(exc))
+    with _input_errors():
+        # the size check comes first: char_table alone allows more agents
+        table = char_table(inst) if inst.n <= CORE_CHECK_MAX_AGENTS else None
+        report = core_check(inst, x, alpha, table=table)
     if csv_path:
-        with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["subset", "value", "allocated", "slack"])
-            for subset, nu, got, slack in iter_core_rows(inst, x, alpha):
-                writer.writerow([" ".join(map(str, subset)), repr(nu), repr(got), repr(slack)])
+        rows = iter_core_rows(table, x, alpha)
+        _write_csv(csv_path, ["subset", "value", "allocated", "slack"],
+                   ([" ".join(map(str, S)), repr(nu), repr(got), repr(slack)] for S, nu, got, slack in rows))
     verdict = "pass" if report.passed else "FAIL"
     _emit(
         report.to_dict(),
@@ -183,13 +208,11 @@ def core_check_cmd(instance_file: str, allocation_file: str, alpha: float, csv_p
 def shapley_cmd(instance_file: str, method: str, samples: int, seed: int) -> None:
     """Exact or sampled Shapley values of an instance."""
     inst = _load_checked(instance_file)
-    try:
+    with _input_errors():
         if method == "exact":
             result = shapley_exact(inst)
         else:
             result = shapley_sample(inst, samples, seed)
-    except ValueError as exc:
-        raise _fail_input(str(exc))
     payload = {
         "values": {str(v): result.values[v] for v in range(inst.n)},
         "method": result.method.value,
@@ -218,17 +241,12 @@ def lipschitz_cmd(
 ) -> None:
     """Probe an allocator with single-edge weight bumps."""
     inst = _load_checked(instance_file)
-    try:
+    with _input_errors(RuntimeError):
         fn = named_allocator(allocator, epsilon=epsilon, base=base)
         report = lipschitz_scan(fn, inst, bound, name=allocator)
-    except (ValueError, RuntimeError) as exc:
-        raise _fail_input(str(exc))
     if csv_path:
-        with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["edge_id", "w_e", "delta", "ratio"])
-            for row in report.rows:
-                writer.writerow([row.edge_id, repr(row.weight), repr(row.delta), repr(row.ratio)])
+        _write_csv(csv_path, ["edge_id", "w_e", "delta", "ratio"],
+                   ([r.edge_id, repr(r.weight), repr(r.delta), repr(r.ratio)] for r in report.rows))
     verdict = "pass" if report.passed else "FAIL"
     _emit(
         report.to_dict(),
@@ -248,10 +266,8 @@ def gen() -> None:
 @click.option("-o", "--out", type=click.Path(dir_okay=False), required=True)
 def gen_path(n: int, out: str) -> None:
     """Uniform-weight path (matching game)."""
-    try:
+    with _input_errors():
         inst = gen_path_uniform(n)
-    except ValueError as exc:
-        raise _fail_input(str(exc))
     dump_instance(inst, out)
     _emit({"written": [out]}, f"wrote path n={n} to {out}")
 
@@ -262,10 +278,8 @@ def gen_path(n: int, out: str) -> None:
 @click.option("--out-second", type=click.Path(dir_okay=False), required=True)
 def gen_zero_ends(n: int, out: str, out_second: str) -> None:
     """Uniform path and its copy with both end edges zeroed."""
-    try:
+    with _input_errors():
         first, second = gen_path_pair_zero_ends(n)
-    except ValueError as exc:
-        raise _fail_input(str(exc))
     dump_instance(first, out)
     dump_instance(second, out_second)
     _emit({"written": [out, out_second]}, f"wrote zero-ends pair n={n}")
@@ -278,10 +292,8 @@ def gen_zero_ends(n: int, out: str, out_second: str) -> None:
 @click.option("--out-second", type=click.Path(dir_okay=False), required=True)
 def gen_bump(n: int, delta: float, out: str, out_second: str) -> None:
     """Uniform path and its copy with the second edge raised by delta."""
-    try:
+    with _input_errors():
         first, second = gen_path_pair_bumped(n, delta)
-    except ValueError as exc:
-        raise _fail_input(str(exc))
     dump_instance(first, out)
     dump_instance(second, out_second)
     _emit({"written": [out, out_second]}, f"wrote bumped pair n={n} delta={delta}")
@@ -296,10 +308,8 @@ def gen_bump(n: int, delta: float, out: str, out_second: str) -> None:
 @click.option("-o", "--out", type=click.Path(dir_okay=False), required=True)
 def gen_random_cmd(kind: str, n: int, edge_prob: float, w_max: float, seed: int, out: str) -> None:
     """Seeded random instance."""
-    try:
+    with _input_errors():
         inst = gen_random(GameKind(kind), n, edge_prob, w_max, seed)
-    except ValueError as exc:
-        raise _fail_input(str(exc))
     dump_instance(inst, out)
     _emit({"written": [out]}, f"wrote random {kind} n={n} seed={seed} to {out}")
 

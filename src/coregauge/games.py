@@ -32,9 +32,6 @@ class Edge:
     u: int
     v: int
 
-    def endpoints(self) -> tuple[int, int]:
-        return (self.u, self.v)
-
 
 @dataclass(frozen=True)
 class GameInstance:
@@ -189,18 +186,27 @@ def instance_to_dict(inst: GameInstance) -> dict:
     }
 
 
+def _json(value, types: type | tuple[type, ...], what: str):
+    """``value`` if it has one of the JSON ``types``; a boolean is no number."""
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise TypeError(f"{value!r} is not {what}")
+    return value
+
+
 def instance_from_dict(data: dict) -> GameInstance:
-    """Parse the interchange schema; raises ValueError on malformed input."""
+    """Parse the interchange schema; raises ValueError on malformed input.
+    Counts, ids and endpoints must be JSON integers, weights JSON numbers."""
     try:
         kind = GameKind(data["kind"])
-        n = int(data["n"])
-        raw_edges = list(data["edges"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        n = _json(data["n"], int, "an integer")
+        raw_edges = _json(data["edges"], list, "a list")
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed instance: {exc}") from exc
     records = []
     for rec in raw_edges:
         try:
-            records.append((int(rec["id"]), int(rec["u"]), int(rec["v"]), float(rec["w"])))
+            eid, u, v = (_json(rec[key], int, "an integer") for key in ("id", "u", "v"))
+            records.append((eid, u, v, float(_json(rec["w"], (int, float), "a number"))))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"malformed edge record {rec!r}: {exc}") from exc
     records.sort(key=lambda rec: rec[0])

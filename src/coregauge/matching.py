@@ -11,6 +11,7 @@ times the coalition's own matching value, with l1 sensitivity
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -78,8 +79,8 @@ def integrate_matching(
 
 def normalize_welfare(raw: Allocation, grand: float) -> Allocation:
     """Rescale a nonnegative raw vector so it sums to the grand value."""
-    if grand < 0:
-        raise ValueError(f"grand value must be nonnegative, got {grand}")
+    if not 0 <= grand < math.inf:
+        raise ValueError(f"grand value must be nonnegative and within the float range, got {grand}")
     norm = raw.total()
     if norm == 0:
         if grand > 0:

@@ -19,7 +19,7 @@ from typing import Sequence
 
 from .games import ROOT, Allocation, Edge, GameInstance, GameKind
 from .matching import normalize_welfare
-from .oracles import _sorted_edge_ids, _UnionFind, agents_of, mask_of
+from .oracles import _sorted_edge_ids, _UnionFind, agents_of, mask_of, spanning_edges
 from .rounding import (
     BreakpointDecomposition,
     RoundedWeights,
@@ -172,15 +172,9 @@ def _spanning_game(inst: GameInstance, weights: Sequence[float]) -> GameInstance
     and its rounded tree edges have the same components: the merge
     dendrogram at any offset depends on these edges only.
     """
-    uf = _UnionFind(inst.n + 1)
-    edges: list[Edge] = []
-    kept: list[float] = []
-    for eid in _sorted_edge_ids(inst, weights):
-        e = inst.edges[eid]
-        if uf.union(*_slots(e, inst.n)):
-            edges.append(Edge(len(edges), e.u, e.v))
-            kept.append(weights[eid])
-    return GameInstance(inst.kind, inst.n, tuple(edges), tuple(kept), inst.root)
+    taken = spanning_edges(inst, (1 << inst.n) - 1, _sorted_edge_ids(inst, weights))
+    edges = tuple(Edge(i, inst.edges[eid].u, inst.edges[eid].v) for i, eid in enumerate(taken))
+    return GameInstance(inst.kind, inst.n, edges, tuple(weights[eid] for eid in taken), inst.root)
 
 
 def _tree_integral(spanning: GameInstance) -> Allocation:
@@ -207,7 +201,11 @@ def mst_core_allocate(inst: GameInstance, weights: Sequence[float]) -> Allocatio
     _require_mst(inst)
     spanning = _spanning_game(inst, weights)
     raw = _tree_integral(spanning.with_weights(within_rounding_range(spanning.weights)))
-    return normalize_welfare(raw, math.fsum(spanning.weights))
+    try:
+        grand = math.fsum(spanning.weights)
+    except OverflowError:
+        grand = math.inf
+    return normalize_welfare(raw, grand)
 
 
 MST_CORE_FACTOR = 4.0

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .games import ROOT, GameInstance, GameKind
+from .games import ROOT, Edge, GameInstance, GameKind, perturb
 
 CHAR_TABLE_MAX_AGENTS = 20
 
@@ -42,66 +42,58 @@ def agents_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _adjacency(inst: GameInstance, weights: Sequence) -> list[list[tuple[int, object]]]:
-    adj: list[list[tuple[int, object]]] = [[] for _ in range(inst.n)]
-    for e in inst.edges:
-        if e.u == ROOT or e.v == ROOT:
-            continue
-        w = weights[e.id]
-        adj[e.u].append((e.v, w))
-        adj[e.v].append((e.u, w))
-    return adj
+def coalition_values(inst: GameInstance, weights: Sequence) -> list:
+    """Value of every agent subset, indexed by bitmask, in the numeric
+    type of ``weights`` (floats, or Fractions for exact runs).
 
-
-def _matching_table(inst: GameInstance, weights: Sequence) -> list:
-    """dp[mask] = maximum matching weight of the subgraph induced by mask."""
-    adj = _adjacency(inst, weights)
+    Matching games run one subset DP: the lowest agent of a mask is
+    either unmatched or matched to a neighbour inside the mask. Tree
+    games run Kruskal once per mask over one presorted edge order.
+    """
     size = 1 << inst.n
-    dp: list = [0] * size
-    for mask in range(1, size):
-        v = (mask & -mask).bit_length() - 1
-        rest = mask ^ (1 << v)
-        best = dp[rest]
-        for u, w in adj[v]:
-            ubit = 1 << u
-            if rest & ubit:
-                cand = w + dp[rest ^ ubit]
-                if cand > best:
-                    best = cand
-        dp[mask] = best
-    return dp
+    values: list = [0] * size
+    if inst.kind is GameKind.MATCHING:
+        adj: list[list[tuple[int, object]]] = [[] for _ in range(inst.n)]
+        for e in inst.edges:
+            if e.u != ROOT and e.v != ROOT:
+                adj[e.u].append((e.v, weights[e.id]))
+                adj[e.v].append((e.u, weights[e.id]))
+        for mask in range(1, size):
+            v = (mask & -mask).bit_length() - 1
+            rest = mask ^ (1 << v)
+            best = values[rest]
+            for u, w in adj[v]:
+                ubit = 1 << u
+                if rest & ubit:
+                    cand = w + values[rest ^ ubit]
+                    if cand > best:
+                        best = cand
+            values[mask] = best
+        return values
+    order = _sorted_edge_ids(inst, weights)
+    for smask in range(1, size):
+        values[smask] = _mst_value(inst, weights, smask, order)
+    return values
 
 
 def max_weight_matching(inst: GameInstance, S: Iterable[int]) -> float:
-    """Exact maximum matching weight of the subgraph induced by S."""
+    """Exact maximum matching weight of the subgraph induced by S.
+
+    Runs the subset DP of ``coalition_values`` on G[S] renumbered
+    0..|S|-1, so the work is 2^|S|, not 2^n.
+    """
     if inst.kind is not GameKind.MATCHING:
         raise ValueError("max_weight_matching requires a matching game")
     members = sorted(set(S))
     if any(not 0 <= v < inst.n for v in members):
         raise ValueError(f"subset {members} contains non-agent ids")
-    if len(members) <= 1:
-        return 0.0
+    if len(members) == inst.n:  # the grand coalition needs no renumbering
+        return float(coalition_values(inst, inst.weights)[-1])
     local = {v: i for i, v in enumerate(members)}
-    adj: list[list[tuple[int, float]]] = [[] for _ in members]
-    for e in inst.edges:
-        if e.u in local and e.v in local:
-            w = inst.weights[e.id]
-            adj[local[e.u]].append((local[e.v], w))
-            adj[local[e.v]].append((local[e.u], w))
-    size = 1 << len(members)
-    dp = [0.0] * size
-    for mask in range(1, size):
-        v = (mask & -mask).bit_length() - 1
-        rest = mask ^ (1 << v)
-        best = dp[rest]
-        for u, w in adj[v]:
-            ubit = 1 << u
-            if rest & ubit:
-                cand = w + dp[rest ^ ubit]
-                if cand > best:
-                    best = cand
-        dp[mask] = best
-    return dp[size - 1]
+    kept = [e for e in inst.edges if e.u in local and e.v in local]
+    edges = tuple(Edge(i, local[e.u], local[e.v]) for i, e in enumerate(kept))
+    sub = GameInstance(inst.kind, len(members), edges, tuple(inst.weights[e.id] for e in kept))
+    return float(coalition_values(sub, sub.weights)[-1])
 
 
 class _UnionFind:
@@ -125,36 +117,40 @@ class _UnionFind:
         return True
 
 
-def _mst_value(inst: GameInstance, weights: Sequence, smask: int, order: Sequence[int]):
-    """Spanning tree weight of G[S + root]; ``order`` presorts edge ids by weight."""
-    n = inst.n
-    rooted = n  # union-find slot for the root vertex
-    uf = _UnionFind(n + 1)
-    needed = bin(smask).count("1")
-    total = 0
-    taken = 0
-    if needed == 0:
-        return 0.0
-    for eid in order:
-        e = inst.edges[eid]
-        a = rooted if e.u == ROOT else e.u
-        b = rooted if e.v == ROOT else e.v
-        if a != rooted and not (smask >> a) & 1:
-            continue
-        if b != rooted and not (smask >> b) & 1:
-            continue
-        if uf.union(a, b):
-            total = total + weights[eid]
-            taken += 1
-            if taken == needed:
-                break
-    if taken != needed:
-        raise ValueError("induced subgraph is not connected through the root")
-    return total
-
-
 def _sorted_edge_ids(inst: GameInstance, weights: Sequence) -> list[int]:
     return sorted(range(inst.m), key=lambda eid: (weights[eid], eid))
+
+
+def spanning_edges(inst: GameInstance, smask: int, order: Sequence[int]) -> list[int]:
+    """Edge ids Kruskal's algorithm keeps on G[S + root], in the order it
+    takes them from ``order`` (edge ids sorted by weight, ties by id); it
+    stops once it has |S| edges, and returns fewer when G[S + root] is
+    not connected."""
+    n = inst.n
+    inside = smask | 1 << n  # the supply vertex is union-find slot n
+    needed = smask.bit_count()
+    uf = _UnionFind(n + 1)
+    taken: list[int] = []
+    for eid in order:
+        e = inst.edges[eid]
+        a = n if e.u == ROOT else e.u
+        b = n if e.v == ROOT else e.v
+        if (inside >> a) & (inside >> b) & 1 and uf.union(a, b):
+            taken.append(eid)
+            if len(taken) == needed:
+                break
+    return taken
+
+
+def _mst_value(inst: GameInstance, weights: Sequence, smask: int, order: Sequence[int]):
+    """Spanning tree weight of G[S + root], summed in Kruskal's order."""
+    taken = spanning_edges(inst, smask, order)
+    if len(taken) != smask.bit_count():
+        raise ValueError("induced subgraph is not connected through the root")
+    total = 0
+    for eid in taken:
+        total = total + weights[eid]
+    return total
 
 
 def mst_weight(inst: GameInstance, S: Iterable[int]) -> float:
@@ -169,12 +165,9 @@ def mst_weight(inst: GameInstance, S: Iterable[int]) -> float:
 
 def char_value(inst: GameInstance, S: Iterable[int]) -> float:
     """Coalition value: dispatches on the game kind; the empty set is worth 0."""
-    members = set(S)
-    if not members:
-        return 0.0
     if inst.kind is GameKind.MATCHING:
-        return max_weight_matching(inst, members)
-    return mst_weight(inst, members)
+        return max_weight_matching(inst, S)
+    return mst_weight(inst, S)
 
 
 @dataclass(frozen=True)
@@ -199,14 +192,7 @@ def char_table(inst: GameInstance) -> CharTable:
     """All 2^n coalition values; refuses instances with more than 20 agents."""
     if inst.n > CHAR_TABLE_MAX_AGENTS:
         raise ValueError(f"coalition enumeration is limited to {CHAR_TABLE_MAX_AGENTS} agents, got {inst.n}")
-    if inst.kind is GameKind.MATCHING:
-        dp = _matching_table(inst, inst.weights)
-        return CharTable(inst, np.asarray(dp, dtype=float))
-    order = _sorted_edge_ids(inst, inst.weights)
-    vals = np.zeros(1 << inst.n)
-    for smask in range(1, 1 << inst.n):
-        vals[smask] = _mst_value(inst, inst.weights, smask, order)
-    return CharTable(inst, vals)
+    return CharTable(inst, np.asarray(coalition_values(inst, inst.weights), dtype=float))
 
 
 def marginal_monotonicity_check(
@@ -220,21 +206,12 @@ def marginal_monotonicity_check(
     """
     if inst.kind is not GameKind.MIN_SPANNING_TREE:
         raise ValueError("marginal_monotonicity_check requires a spanning-tree game")
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    bumped = inst.with_weights(perturb(inst.weights, f, delta))  # rejects delta <= 0 and unknown f
     members = set(S)
-    if v in members:
-        raise ValueError(f"agent {v} must lie outside S")
-    if not 0 <= v < inst.n:
-        raise ValueError(f"{v} is not an agent id")
-    edge = inst.edges[f] if 0 <= f < inst.m else None
-    if edge is None:
-        raise ValueError(f"unknown edge id {f}")
-    if edge.u not in members or edge.v not in members:
+    if v in members or not 0 <= v < inst.n:
+        raise ValueError(f"{v} must be an agent outside S")
+    if inst.edges[f].u not in members or inst.edges[f].v not in members:
         raise ValueError(f"edge {f} must have both endpoints in S")
-    bumped = inst.with_weights(
-        tuple(w + delta if eid == f else w for eid, w in enumerate(inst.weights))
-    )
     with_v = members | {v}
     lhs = mst_weight(bumped, with_v) - mst_weight(inst, with_v)
     rhs = mst_weight(bumped, members) - mst_weight(inst, members)

@@ -23,11 +23,6 @@ BREAKPOINT_TOL = 1e-12
 WEIGHT_CAP_EXPONENT = 1000
 
 
-def _check_base(base: float) -> None:
-    if not 1.0 < base <= 2.0:
-        raise ValueError(f"base must lie in (1, 2], got {base}")
-
-
 def rounding_exponent(w: float, b: float, base: float) -> int:
     """The unique integer i with base**(i+b) <= w < base**(i+1+b)."""
     i = math.floor(math.log(w, base) - b)
@@ -86,7 +81,8 @@ class RoundingSchedule:
     def of(cls, weights: Sequence[float], base: float) -> "RoundingSchedule":
         """Exponents and breakpoints of ``weights``; fractional logs within
         BREAKPOINT_TOL of each other or of the endpoints are merged."""
-        _check_base(base)
+        if not 1.0 < base <= 2.0:
+            raise ValueError(f"base must lie in (1, 2], got {base}")
         exponents: list[int | None] = []
         interior = set()
         for w in weights:

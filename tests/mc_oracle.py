@@ -119,20 +119,78 @@ def _mst_alloc_once(n: int, eu, ev, rounded_row, order) -> list[float]:
     return z
 
 
+def _find(parent: np.ndarray, rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Union-find roots of vertex x[i] in row rows[i]."""
+    while True:
+        up = parent[rows, x]
+        moving = up != x
+        if not moving.any():
+            return x
+        x = np.where(moving, up, x)
+
+
+def _mst_alloc_lockstep(n: int, eu: np.ndarray, ev: np.ndarray, rounded: np.ndarray,
+                        orders: np.ndarray) -> np.ndarray:
+    """_mst_alloc_once on every row at once, shape (samples, n).
+
+    Union-find arrays have shape (samples, n+1), slot n is the supply
+    vertex. A payout to a whole component is added to its root's offset,
+    and a vertex's payout is the sum of the offsets on its path to the
+    root, so linking root b under root a subtracts a's offset from b's.
+    Each component that exists when a tie group starts is paid once, the
+    first time it merges in that group.
+    """
+    samples, m = orders.shape
+    rows = np.arange(samples)
+    parent = np.tile(np.arange(n + 1), (samples, 1))
+    size = np.tile(np.append(np.ones(n), 0.0), (samples, 1))  # agents per component
+    supply = np.zeros((samples, n + 1), dtype=bool)
+    supply[:, n] = True
+    offset = np.zeros((samples, n + 1))
+    merged_in = np.full((samples, n + 1), -1)  # tie group of a root's last merge
+    group = np.zeros(samples, dtype=int)
+    level = rounded[rows, orders[:, 0]] if m else np.zeros(samples)
+    for p in range(m):
+        eid = orders[:, p]
+        val = rounded[rows, eid]
+        fresh = val - level > GROUP_TOL
+        group += fresh
+        level = np.where(fresh, val, level)
+        a = _find(parent, rows, eu[eid])
+        b = _find(parent, rows, ev[eid])
+        hit = a != b
+        r, a, b, lv, g = rows[hit], a[hit], b[hit], level[hit], group[hit]
+        for x in (a, b):
+            pay = (merged_in[r, x] != g) & ~supply[r, x] & (lv > 0.0)
+            offset[r[pay], x[pay]] += lv[pay] / size[r[pay], x[pay]]
+        offset[r, b] -= offset[r, a]
+        parent[r, b] = a
+        size[r, a] += size[r, b]
+        supply[r, a] |= supply[r, b]
+        merged_in[r, a] = g
+    z = offset[:, :n].copy()
+    x = np.tile(np.arange(n), (samples, 1))
+    while True:
+        up = np.take_along_axis(parent, x, axis=1)
+        moving = up != x
+        if not moving.any():
+            return z
+        x = np.where(moving, up, x)
+        z += np.where(moving, np.take_along_axis(offset, x, axis=1), 0.0)
+
+
 def mc_mst_samples(
     inst: GameInstance, weights, samples: int, seed: int
 ) -> np.ndarray:
-    """Cost-share vectors for stratified offsets, shape (samples, n)."""
+    """Cost-share vectors for stratified offsets, shape (samples, n): every
+    sample runs its own Kruskal pass, all samples in lockstep."""
     b = stratified_offsets(samples, seed)
     w = np.asarray(weights, dtype=float)
     rounded = _rounded_matrix(w, b, 2.0)
     orders = np.argsort(rounded, axis=1, kind="stable")
-    eu = [inst.n if e.u == ROOT else e.u for e in inst.edges]
-    ev = [inst.n if e.v == ROOT else e.v for e in inst.edges]
-    out = np.empty((samples, inst.n))
-    for s in range(samples):
-        out[s, :] = _mst_alloc_once(inst.n, eu, ev, rounded[s].tolist(), orders[s].tolist())
-    return out
+    eu = np.asarray([inst.n if e.u == ROOT else e.u for e in inst.edges], dtype=int)
+    ev = np.asarray([inst.n if e.v == ROOT else e.v for e in inst.edges], dtype=int)
+    return _mst_alloc_lockstep(inst.n, eu, ev, rounded, orders)
 
 
 def mc_mean_and_se(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

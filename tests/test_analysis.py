@@ -18,6 +18,7 @@ from coregauge.instances import (
 )
 from coregauge.matching import matching_core_allocate, matching_raw_sensitivity_bound
 from coregauge.mst import mst_core_allocate, mst_raw_sensitivity_bound
+from coregauge.oracles import char_table
 from coregauge.shapley import matching_lower_bound_value
 
 from conftest import matching_instance, mst_instance
@@ -71,7 +72,7 @@ def test_core_check_guards():
 
 def test_iter_core_rows_covers_all_proper_subsets():
     inst = gen_path_uniform(3)
-    rows = list(iter_core_rows(inst, Allocation.of([0.5, 1.0, 0.5]), 1.0))
+    rows = list(iter_core_rows(char_table(inst), Allocation.of([0.5, 1.0, 0.5]), 1.0))
     assert len(rows) == 2**3 - 1
     subsets = {r[0] for r in rows}
     assert (0, 1) in subsets and () in subsets

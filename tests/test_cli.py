@@ -223,6 +223,36 @@ def test_allocate_rejects_an_edge_record_that_is_not_an_object(runner, tmp_path)
     expect_input_error(result, "malformed edge record 5")
 
 
+HUGE_TREE = mst_instance(2, [(ROOT, 0, 1.7e308), (ROOT, 1, 1.7e308)])
+HUGE_PAIR = matching_instance(4, [(0, 1, 1.7e308), (2, 3, 1.7e308)])
+
+
+@pytest.mark.parametrize(
+    "inst,args,needle",
+    [
+        (HUGE_TREE, ["allocate"], "float range"),
+        (HUGE_PAIR, ["allocate", "--epsilon", "0.25"], "float range"),
+        (matching_instance(2, [(0, 1, 1.7e308)]),
+         ["lipschitz", "--allocator", "matching-raw", "--base", "1.5", "--bound", "25"],
+         "failed on the unperturbed instance"),
+        (HUGE_TREE, ["lipschitz", "--allocator", "mst-core", "--bound", "30"],
+         "failed on the unperturbed instance"),
+        (HUGE_PAIR, ["shapley"], "float range"),
+        (mst_instance(1, [(ROOT, 0, 1.7e308)]), ["allocate", "--dump-tree", "tree.json"],
+         "float range"),
+    ],
+    ids=["mst-allocate", "matching-allocate", "matching-raw-lipschitz", "mst-lipschitz",
+         "shapley", "dump-tree"],
+)
+def test_values_beyond_the_float_range_exit_two(runner, tmp_path, inst, args, needle):
+    path = tmp_path / "huge.json"
+    dump_instance(inst, str(path))
+    args = [str(tmp_path / a) if a == "tree.json" else a for a in args]
+    result = runner.invoke(main, [args[0], str(path), *args[1:]])
+    expect_input_error(result, needle)
+    assert "Infinity" not in result.stdout and "NaN" not in result.stdout
+
+
 @pytest.mark.parametrize(
     "allocation,needle",
     [

@@ -19,6 +19,7 @@ from coregauge.games import GameKind, l1_distance
 from coregauge.instances import gen_random
 from coregauge.matching import matching_core_allocate
 from coregauge.mst import mst_core_allocate
+from coregauge.oracles import char_value
 
 ALLOCATORS = [
     (GameKind.MIN_SPANNING_TREE, mst_core_allocate),
@@ -36,3 +37,16 @@ def test_core_allocators_are_homogeneous_under_powers_of_two(kind, allocate, see
     want = [math.ldexp(v, k) for v in allocate(inst, inst.weights).values]
     got = allocate(inst.with_weights(scaled), scaled).values
     assert l1_distance(got, want) <= 1e-12 * math.fsum(want), (seed, k)
+
+
+@pytest.mark.parametrize("kind,allocate", ALLOCATORS, ids=["mst", "matching-0.05", "matching-0.25"])
+@given(seed=st.integers(0, 39), k=st.integers(-1080, -990))
+@settings(max_examples=40, deadline=None)
+def test_core_allocators_stay_efficient_down_to_subnormal_weights(kind, allocate, seed, k):
+    # Below 2^-1022 the payouts are subnormal: each one can be off by up to
+    # 2^-1074 (a lone edge of 5e-324 has no representable halves), and no more.
+    inst = gen_random(kind, 6, 0.6, 10.0, seed)
+    scaled = inst.with_weights([math.ldexp(w, k) for w in inst.weights])
+    grand = char_value(scaled, range(scaled.n))
+    total = math.fsum(allocate(scaled, scaled.weights).values)
+    assert abs(total - grand) <= scaled.n * 2.0**-1074 + 1e-12 * grand, (seed, k)
