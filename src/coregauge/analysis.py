@@ -64,10 +64,11 @@ def _subset_sums(values: Sequence, n: int) -> np.ndarray:
 
 def _slacks(table: CharTable, x: Allocation, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """Allocated sums and relaxed-constraint slacks of every coalition, by mask."""
-    sums = _subset_sums(x.values, table.game.n)
-    if table.game.kind is GameKind.MATCHING:
-        return sums, sums - alpha * table.values
-    return sums, alpha * table.values - sums
+    with np.errstate(over="ignore"):  # a sum or alpha * value beyond the float range is infinite
+        sums = _subset_sums(x.values, table.game.n)
+        if table.game.kind is GameKind.MATCHING:
+            return sums, sums - alpha * table.values
+        return sums, alpha * table.values - sums
 
 
 def core_check(
@@ -83,6 +84,8 @@ def core_check(
     Welfare games require each coalition to receive at least alpha times
     its own value; cost games require it to pay at most alpha times its
     own cost. The grand coalition must match its value up to grand_tol.
+    The report names the worst nonempty proper coalition, or the empty
+    one with slack 0 when there is none (n <= 1).
     """
     if inst.n > CORE_CHECK_MAX_AGENTS:
         raise ValueError(f"core_check is limited to {CORE_CHECK_MAX_AGENTS} agents, got {inst.n}")
@@ -97,9 +100,11 @@ def core_check(
         table = char_table(inst)
     sums, slack = _slacks(table, x, alpha)
     full = (1 << inst.n) - 1
-    slack[full] = np.inf  # grand coalition handled by the residual
-    worst_mask = int(np.argmin(slack))
-    worst_slack = float(slack[worst_mask])
+    # nonempty proper coalitions only; the grand one is handled by the residual
+    worst_mask, worst_slack = 0, 0.0
+    if full > 1:
+        worst_mask = 1 + int(np.argmin(slack[1:full]))
+        worst_slack = float(slack[worst_mask])
     grand_residual = abs(float(sums[full]) - float(table.values[full]))
     passed = worst_slack >= -tol and grand_residual <= grand_tol
     return CoreReport(

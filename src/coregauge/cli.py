@@ -36,13 +36,7 @@ from .games import (
 )
 from .instances import gen_path_pair_bumped, gen_path_pair_zero_ends, gen_path_uniform, gen_random
 from .matching import matching_core_allocate, matching_core_factor, matching_sensitivity_bound
-from .mst import (
-    MST_CORE_FACTOR,
-    auxiliary_tree,
-    mst_core_allocate,
-    mst_sensitivity_bound,
-    round_weights_mst,
-)
+from .mst import MST_CORE_FACTOR, mst_core_allocate, mst_sensitivity_bound, offset_dendrogram
 from .oracles import char_table, char_value
 from .shapley import shapley_exact, shapley_sample
 
@@ -126,13 +120,10 @@ def allocate(instance_file: str, game: str, epsilon: float | None, dump_tree: st
     else:
         with _input_errors():
             x = mst_core_allocate(inst, inst.weights)
+            tree = offset_dendrogram(inst, inst.weights, 0.0) if dump_tree is not None else None
         factor = MST_CORE_FACTOR
         bound = mst_sensitivity_bound()
-        if dump_tree is not None:
-            try:
-                tree = auxiliary_tree(inst, round_weights_mst(inst.weights, 0.0).rounded)
-            except OverflowError:
-                raise _fail_input("--dump-tree: a rounded weight exceeds the float range")
+        if tree is not None:
             with open(dump_tree, "w", encoding="utf-8") as fh:
                 json.dump(tree.to_dict(), fh, sort_keys=True)
                 fh.write("\n")

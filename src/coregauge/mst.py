@@ -1,13 +1,14 @@
 """Perturbation-stable approximate-core allocation for spanning-tree games.
 
 Weights are rounded to powers of two, then a merge dendrogram replays
-Kruskal's algorithm on the rounded weights: each dendrogram node is a
-connected component at the rounded weight at which it first appears, and
-its height is that weight. Every dendrogram edge whose subtree avoids
-the supply vertex spreads the parent height evenly over the agents below
-it. Averaging over the rounding offset and rescaling to the true tree
-cost gives a 4-approximate core allocation whose l1 sensitivity to a
-single-edge change is at most 20/ln2 + 1.
+Kruskal's algorithm on the rounded weights of the n minimum spanning
+tree edges: each dendrogram node is a connected component at the
+rounded weight at which it first appears, and its height is that
+weight. Every dendrogram edge whose subtree avoids the supply vertex
+spreads the parent height evenly over the agents below it. Averaging
+over the rounding offset and rescaling to the true tree cost gives a
+4-approximate core allocation whose l1 sensitivity to a single-edge
+change is at most 20/ln2 + 1.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Sequence
 
 from .games import ROOT, Allocation, Edge, GameInstance, GameKind
 from .matching import normalize_welfare
-from .oracles import _sorted_edge_ids, _UnionFind, agents_of, mask_of, spanning_edges
+from .oracles import _slots, _sorted_edge_ids, _UnionFind, mask_of, spanning_edges
 from .rounding import (
     BreakpointDecomposition,
     RoundedWeights,
@@ -43,11 +44,6 @@ def round_weights_mst(weights: Sequence[float], b: float) -> RoundedWeights:
 
 def breakpoints_mst(weights: Sequence[float]) -> BreakpointDecomposition:
     return RoundingSchedule.of(weights, MST_BASE).decomposition
-
-
-def _slots(e: Edge, n: int) -> tuple[int, int]:
-    """Union-find slots of an edge's endpoints; the supply vertex is slot n."""
-    return (n if e.u == ROOT else e.u, n if e.v == ROOT else e.v)
 
 
 @dataclass(frozen=True)
@@ -96,7 +92,9 @@ def auxiliary_tree(inst: GameInstance, rounded: Sequence[float]) -> AuxiliaryTre
     Equal weights are added simultaneously; every component created by
     such a batch becomes one node whose children are the components it
     swallowed. Equal rounding exponents give bit-identical rounded
-    weights, so the batches are formed by exact equality.
+    weights, so the batches are formed by exact equality. The nodes of
+    one batch are numbered in the order of their smallest child, so node
+    ids depend only on the components, not on the edges that formed them.
     """
     _require_mst(inst)
     n = inst.n
@@ -112,12 +110,12 @@ def auxiliary_tree(inst: GameInstance, rounded: Sequence[float]) -> AuxiliaryTre
         for a, b in ends:
             uf.union(a, b)
         clusters: dict[int, list[int]] = {}
-        for old in touched:
+        for old in sorted(touched, key=node_of.__getitem__):  # clusters by smallest child
             clusters.setdefault(uf.find(old), []).append(old)
         for new_root, olds in clusters.items():
             if len(olds) < 2:
                 continue
-            child_ids = sorted(node_of.pop(o) for o in olds)
+            child_ids = [node_of.pop(o) for o in olds]  # ascending
             mask = sum(nodes[c].agent_mask for c in child_ids)  # disjoint subtrees
             supply = any(nodes[c].has_supply for c in child_ids)
             nid = len(nodes)
@@ -131,23 +129,17 @@ def auxiliary_tree(inst: GameInstance, rounded: Sequence[float]) -> AuxiliaryTre
 
 def _shares(tree: AuxiliaryTree, n: int) -> list[float]:
     """Every dendrogram edge whose subtree avoids the supply vertex splits
-    the parent height evenly over the agents below it."""
-    z = [0.0] * n
-    for parent_node, child in tree.parent_edges():
-        if child.has_supply:
-            continue
-        share = parent_node.height / child.agent_mask.bit_count()
-        for v in agents_of(child.agent_mask):
-            z[v] += share
-    return z
-
-
-def mst_allocate(inst: GameInstance, weights: Sequence[float], b: float) -> Allocation:
-    """Fixed-offset cost shares from the dendrogram of the whole graph
-    rounded at offset ``b``."""
-    _require_mst(inst)
-    tree = auxiliary_tree(inst, round_weights_mst(weights, b).rounded)
-    return Allocation.of(_shares(tree, inst.n))
+    the parent height evenly over the agents below it. One pass from the
+    top carries, per node, what each of its agents got from the edges
+    above it; agent v's share is then read at its leaf v."""
+    nodes = tree.nodes
+    carried = [0.0] * len(nodes)
+    for node in reversed(nodes):  # every child id is below its parent's
+        for c in node.children:
+            child = nodes[c]
+            if not child.has_supply:
+                carried[c] = carried[node.id] + node.height / child.agent_mask.bit_count()
+    return carried[:n]
 
 
 def connector_sum(tree: AuxiliaryTree, S: Sequence[int] | set[int]) -> float:
@@ -175,6 +167,23 @@ def _spanning_game(inst: GameInstance, weights: Sequence[float]) -> GameInstance
     taken = spanning_edges(inst, (1 << inst.n) - 1, _sorted_edge_ids(inst, weights))
     edges = tuple(Edge(i, inst.edges[eid].u, inst.edges[eid].v) for i, eid in enumerate(taken))
     return GameInstance(inst.kind, inst.n, edges, tuple(weights[eid] for eid in taken), inst.root)
+
+
+def offset_dendrogram(inst: GameInstance, weights: Sequence[float], b: float) -> AuxiliaryTree:
+    """Merge dendrogram of ``weights`` rounded at offset ``b``, built on
+    the n minimum spanning tree edges (see _spanning_game)."""
+    _require_mst(inst)
+    spanning = _spanning_game(inst, weights)
+    try:
+        rounded = round_weights_mst(spanning.weights, b).rounded
+    except OverflowError:
+        raise ValueError("a rounded weight exceeds the float range") from None
+    return auxiliary_tree(spanning, rounded)
+
+
+def mst_allocate(inst: GameInstance, weights: Sequence[float], b: float) -> Allocation:
+    """Fixed-offset cost shares from the merge dendrogram at offset ``b``."""
+    return Allocation.of(_shares(offset_dendrogram(inst, weights, b), inst.n))
 
 
 def _tree_integral(spanning: GameInstance) -> Allocation:

@@ -117,6 +117,11 @@ class _UnionFind:
         return True
 
 
+def _slots(e: Edge, n: int) -> tuple[int, int]:
+    """Union-find slots of an edge's endpoints; the supply vertex is slot n."""
+    return (n if e.u == ROOT else e.u, n if e.v == ROOT else e.v)
+
+
 def _sorted_edge_ids(inst: GameInstance, weights: Sequence) -> list[int]:
     return sorted(range(inst.m), key=lambda eid: (weights[eid], eid))
 
@@ -132,9 +137,7 @@ def spanning_edges(inst: GameInstance, smask: int, order: Sequence[int]) -> list
     uf = _UnionFind(n + 1)
     taken: list[int] = []
     for eid in order:
-        e = inst.edges[eid]
-        a = n if e.u == ROOT else e.u
-        b = n if e.v == ROOT else e.v
+        a, b = _slots(inst.edges[eid], n)
         if (inside >> a) & (inside >> b) & 1 and uf.union(a, b):
             taken.append(eid)
             if len(taken) == needed:

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from coregauge.analysis import (
@@ -18,7 +19,7 @@ from coregauge.instances import (
 )
 from coregauge.matching import matching_core_allocate, matching_raw_sensitivity_bound
 from coregauge.mst import mst_core_allocate, mst_raw_sensitivity_bound
-from coregauge.oracles import char_table
+from coregauge.oracles import agents_of, char_table, char_value
 from coregauge.shapley import matching_lower_bound_value
 
 from conftest import matching_instance, mst_instance
@@ -54,6 +55,37 @@ def test_core_check_cost_direction():
     report = core_check(inst, Allocation.of([3.0, 0.0]), 1.0)
     assert not report.passed
     assert report.worst_subset == (0,)
+
+
+@pytest.mark.parametrize("kind", [GameKind.MATCHING, GameKind.MIN_SPANNING_TREE])
+@pytest.mark.parametrize("seed", range(6))
+def test_core_check_reports_the_worst_nonempty_proper_coalition(kind, seed):
+    n = 6
+    rng = np.random.default_rng(seed + 40)
+    inst = gen_random(kind, n, 0.5, 10.0, seed)
+    if kind is GameKind.MATCHING:
+        alpha, x = 0.25, matching_core_allocate(inst, inst.weights, 0.25)
+    else:
+        alpha, x = 4.0, mst_core_allocate(inst, inst.weights)
+    if seed % 2:  # shift value between agents and tighten to the exact core: coalitions fail
+        alpha, x = 1.0, Allocation.of(x.as_array() * rng.uniform(0.3, 1.7, size=n))
+    sign = 1.0 if kind is GameKind.MATCHING else -1.0
+    slacks = {}
+    for mask in range(1, (1 << n) - 1):  # nonempty proper coalitions
+        S = agents_of(mask)
+        slacks[mask] = sign * (math.fsum(x.values[v] for v in S) - alpha * char_value(inst, S))
+    report = core_check(inst, x, alpha)
+    assert report.worst_slack == pytest.approx(min(slacks.values()), rel=1e-12, abs=1e-12)
+    worst = sum(1 << v for v in report.worst_subset)
+    assert slacks[worst] == pytest.approx(report.worst_slack, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_core_check_without_proper_coalitions_names_the_empty_one(n):
+    inst = mst_instance(n, [(ROOT, 0, 2.0)] if n else [])
+    report = core_check(inst, Allocation.of([2.0] * n), 4.0)
+    assert report.passed
+    assert (report.worst_subset, report.worst_slack) == ((), 0.0)
 
 
 def test_core_check_guards():

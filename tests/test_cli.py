@@ -2,6 +2,7 @@ import gc
 import io
 import json
 import math
+import warnings
 
 import pytest
 from click.testing import CliRunner
@@ -126,6 +127,32 @@ def test_allocate_output_feeds_core_check(runner, tmp_path):
     check = invoke(runner, ["core-check", str(path), str(alloc_path), "--alpha", "4.0"])
     assert check.exit_code == 0
     assert payload_of(check)["pass"] is True
+
+
+@pytest.mark.parametrize("kind,args,alpha", [("matching", ["--epsilon", "0.25"], "0.25"), ("mst", [], "4")])
+def test_zero_agent_allocation_feeds_core_check(runner, tmp_path, kind, args, alpha):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"kind": kind, "n": 0, "edges": []}))
+    result = invoke(runner, ["allocate", str(path), *args])
+    assert result.exit_code == 0
+    alloc_path = tmp_path / "alloc.json"
+    alloc_path.write_text(result.stdout.splitlines()[0])
+    check = invoke(runner, ["core-check", str(path), str(alloc_path), "--alpha", alpha])
+    assert check.exit_code == 0
+    assert payload_of(check)["worst_subset"] == []
+
+
+def test_core_check_with_alpha_times_value_beyond_the_float_range(runner, tmp_path):
+    path = tmp_path / "huge.json"
+    dump_instance(mst_instance(1, [(ROOT, 0, 1.7e308)]), str(path))
+    alloc_path = tmp_path / "alloc.json"
+    alloc_path.write_text(json.dumps({"0": 1.7e308}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy overflow warning raises here
+        result = invoke(runner, ["core-check", str(path), str(alloc_path), "--alpha", "4"])
+    assert result.exit_code == 0
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.startswith("core check pass")
 
 
 def test_core_check_failure_exits_one(runner, tmp_path):

@@ -13,6 +13,7 @@ from coregauge.mst import (
     integrate_mst,
     mst_allocate,
     mst_core_allocate,
+    offset_dendrogram,
     round_weights_mst,
 )
 from coregauge.oracles import agents_of, mst_weight
@@ -102,6 +103,70 @@ def test_mst_allocate_single_agent_gets_rounded_root_edge():
     for b in (0.0, 0.33, 0.9):
         z = mst_allocate(SINGLE, SINGLE.weights, b)
         assert z.values[0] == round_weights_mst(SINGLE.weights, b).rounded[0]
+
+
+def _per_edge_shares(inst, rounded):
+    """Fixed-offset shares straight from their definition, on the whole
+    graph: at each rounded level, every agent whose component grows gets
+    the level divided by the agent count of its old component, unless
+    that component holds the supply vertex (union-find slot n)."""
+    n = inst.n
+
+    def components(level):
+        parent = list(range(n + 1))
+
+        def find(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        for e in inst.edges:
+            if rounded[e.id] <= level:
+                a, b = (n if e.u == ROOT else e.u), (n if e.v == ROOT else e.v)
+                parent[find(a)] = find(b)
+        roots = [find(x) for x in range(n + 1)]
+        return [frozenset(y for y in range(n + 1) if roots[y] == roots[x]) for x in range(n + 1)]
+
+    z = [0.0] * n
+    before = [frozenset([x]) for x in range(n + 1)]
+    for level in sorted(set(rounded)):
+        after = components(level)
+        for v in range(n):
+            if after[v] != before[v] and n not in before[v]:
+                z[v] += level / len(before[v])
+        before = after
+    return z
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_mst_allocate_matches_the_per_edge_definition(seed):
+    rng = np.random.default_rng(seed + 700)
+    inst = gen_random(GameKind.MIN_SPANNING_TREE, int(rng.integers(1, 9)), 0.6, 10.0, seed)
+    if seed % 2:  # integer weights, zeros included: ties within and across levels
+        inst = inst.with_weights(tuple(float(w) for w in rng.integers(0, 5, size=inst.m)))
+    for b in (0.0, 0.5, *rng.uniform(0, 1, size=3)):
+        want = _per_edge_shares(inst, round_weights_mst(inst.weights, b).rounded)
+        got = mst_allocate(inst, inst.weights, b).values
+        assert sum(abs(g - w) for g, w in zip(got, want)) <= 1e-12 * max(sum(want), 1e-300)
+
+
+@pytest.mark.parametrize("seed", range(89, 101))
+def test_offset_dendrogram_equals_the_whole_graph_dendrogram(seed):
+    # seed 89 at b=0.81 has a batch that set-iteration order numbers
+    # differently on the two edge sets
+    rng = np.random.default_rng(seed)
+    inst = gen_random(GameKind.MIN_SPANNING_TREE, 9, 0.6, 10.0, seed)
+    if seed % 2 == 0:
+        inst = inst.with_weights(tuple(float(w) for w in rng.integers(0, 5, size=inst.m)))
+    for b in (0.0, 0.81, *rng.uniform(0, 1, size=3)):
+        whole = auxiliary_tree(inst, round_weights_mst(inst.weights, b).rounded)
+        assert offset_dendrogram(inst, inst.weights, b).to_dict() == whole.to_dict()
+
+
+def test_offset_dendrogram_rejects_rounding_beyond_the_float_range():
+    huge = mst_instance(1, [(ROOT, 0, 1.7e308)])
+    with pytest.raises(ValueError, match="float range"):
+        offset_dendrogram(huge, huge.weights, 0.0)
 
 
 @pytest.mark.parametrize("seed", range(12))
