@@ -7,6 +7,7 @@ CLI decide what a failing report means.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -53,22 +54,34 @@ class CoreReport:
         }
 
 
-def _subset_sums(values: Sequence, n: int) -> np.ndarray:
+def _subset_sums(values: Sequence) -> np.ndarray:
     """sums[mask] = sum of values over the agents in mask, for all masks;
     Fractions stay exact in an object array."""
     sums = np.zeros(1, dtype=np.asarray(values).dtype)
-    for v in range(n):
-        sums = np.concatenate([sums, sums + values[v]])
+    for v in values:
+        sums = np.concatenate([sums, sums + v])
     return sums
 
 
-def _slacks(table: CharTable, x: Allocation, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """Allocated sums and relaxed-constraint slacks of every coalition, by mask."""
+def _slacks(
+    kind: GameKind, values: Sequence, allocated: Sequence, alpha: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Allocated sums and relaxed-constraint slacks of every coalition, by
+    mask; Fraction values and allocations with an int alpha stay exact."""
     with np.errstate(over="ignore"):  # a sum or alpha * value beyond the float range is infinite
-        sums = _subset_sums(x.values, table.game.n)
-        if table.game.kind is GameKind.MATCHING:
-            return sums, sums - alpha * table.values
-        return sums, alpha * table.values - sums
+        sums = _subset_sums(allocated)
+        if kind is GameKind.MATCHING:
+            return sums, sums - alpha * np.asarray(values)
+        return sums, alpha * np.asarray(values) - sums
+
+
+def _worst(slack: np.ndarray) -> tuple[int, object]:
+    """First arg-min of the slack over the nonempty proper coalitions,
+    masks 1..2^n-2, or (0, 0) when there is none (n <= 1)."""
+    if len(slack) <= 2:
+        return 0, 0
+    mask = 1 + int(np.argmin(slack[1:-1]))
+    return mask, slack[mask]
 
 
 def core_check(
@@ -87,6 +100,8 @@ def core_check(
     The report names the worst nonempty proper coalition, or the empty
     one with slack 0 when there is none (n <= 1).
     """
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
     if inst.n > CORE_CHECK_MAX_AGENTS:
         raise ValueError(f"core_check is limited to {CORE_CHECK_MAX_AGENTS} agents, got {inst.n}")
     if x.n != inst.n:
@@ -98,14 +113,10 @@ def core_check(
         raise ValueError(f"cost games need alpha >= 1, got {alpha}")
     if table is None:
         table = char_table(inst)
-    sums, slack = _slacks(table, x, alpha)
-    full = (1 << inst.n) - 1
-    # nonempty proper coalitions only; the grand one is handled by the residual
-    worst_mask, worst_slack = 0, 0.0
-    if full > 1:
-        worst_mask = 1 + int(np.argmin(slack[1:full]))
-        worst_slack = float(slack[worst_mask])
-    grand_residual = abs(float(sums[full]) - float(table.values[full]))
+    sums, slack = _slacks(inst.kind, table.values, x.values, alpha)
+    worst_mask, worst_slack = _worst(slack)  # the grand coalition is handled by the residual
+    worst_slack = float(worst_slack)
+    grand_residual = abs(float(sums[-1]) - table.grand)
     passed = worst_slack >= -tol and grand_residual <= grand_tol
     return CoreReport(
         alpha=alpha,
@@ -121,7 +132,7 @@ def iter_core_rows(
     table: CharTable, x: Allocation, alpha: float
 ) -> Iterator[tuple[tuple[int, ...], float, float, float]]:
     """(subset, coalition value, allocated sum, slack) for every proper coalition."""
-    sums, slack = _slacks(table, x, alpha)
+    sums, slack = _slacks(table.game.kind, table.values, x.values, alpha)
     for mask in range(len(sums) - 1):
         yield agents_of(mask), float(table.values[mask]), float(sums[mask]), float(slack[mask])
 
@@ -131,37 +142,27 @@ def exact_core_solve(inst: GameInstance) -> Allocation | None:
 
     Solves the full 2^n constraint system in rational arithmetic by
     constraint generation: repeatedly finds a point for the active
-    coalitions and adds the most violated remaining one.
+    coalitions and adds the most violated remaining one. The active
+    coalitions hold at the returned point, so when the least slack is
+    negative its first arg-min is always a coalition not yet active.
     """
     n = inst.n
     if n > EXACT_SOLVE_MAX_AGENTS:
         raise ValueError(f"exact_core_solve is limited to {EXACT_SOLVE_MAX_AGENTS} agents, got {n}")
     nu = coalition_values(inst, [Fraction(w) for w in inst.weights])
-    full = (1 << n) - 1
-    welfare = inst.kind is GameKind.MATCHING
-    rel = ">=" if welfare else "<="
-    active: list[int] = [1 << v for v in range(n)]
-    active_set = set(active)
+    rel = ">=" if inst.kind is GameKind.MATCHING else "<="
+    active = [1 << v for v in range(n)]
     while True:
-        constraints: list = [([1] * n, "==", nu[full])]
+        constraints: list = [([1] * n, "==", nu[-1])]
         constraints += [([(mask >> v) & 1 for v in range(n)], rel, nu[mask]) for mask in active]
         point = solve_feasible(n, constraints)
         if point is None:
             return None
-        sums = _subset_sums(point, n)
-        worst_mask = -1
-        worst_gap = Fraction(0)
-        for mask in range(1, full):
-            if mask in active_set:
-                continue
-            gap = nu[mask] - sums[mask] if welfare else sums[mask] - nu[mask]
-            if gap > worst_gap:
-                worst_gap = gap
-                worst_mask = mask
-        if worst_mask < 0:
+        # alpha is the int 1: a float alpha would turn the Fractions into floats
+        worst_mask, worst_slack = _worst(_slacks(inst.kind, nu, point, 1)[1])
+        if worst_slack >= 0:
             return Allocation.of(float(v) for v in point)
         active.append(worst_mask)
-        active_set.add(worst_mask)
 
 
 @dataclass(frozen=True)
@@ -220,6 +221,8 @@ def lipschitz_scan(
         except Exception as exc:
             raise RuntimeError(f"allocator {name!r} failed {where}: {exc}") from exc
 
+    if not math.isfinite(claimed_bound):
+        raise ValueError(f"claimed bound must be finite, got {claimed_bound}")
     base = run(inst, "on the unperturbed instance")
     rows = []
     for e in inst.edges:

@@ -1,9 +1,16 @@
 """Exact rational linear feasibility via a phase-one simplex.
 
-Small dense tableau over fractions, Bland's rule throughout, so the
-search terminates and the returned point is exact. Used by the
-coalition-constraint solver, whose uniqueness assertions rule out
-floating-point feasibility checks.
+A small dense tableau over fractions. Free variables are split into
+positive and negative parts, each inequality gets one slack column, and
+each row carries its right-hand side as its last entry; the phase-one
+objective row (minus the column sums of the rows) carries minus the sum
+of the artificials the same way. One artificial per row starts in the
+basis. Artificial columns are never stored: they never re-enter, so
+only their labels ``n_struct + r`` remain in the basis. Bland's rule
+(lowest entering column, ties of the ratio test broken by the lowest
+basis label) guarantees termination, and the returned point is exact.
+Used by the coalition-constraint solver, whose uniqueness assertions
+rule out floating-point feasibility checks.
 """
 
 from __future__ import annotations
@@ -15,91 +22,58 @@ Constraint = tuple[Sequence[Fraction], str, Fraction]  # coeffs, one of "<=", ">
 
 
 def solve_feasible(n_vars: int, constraints: Sequence[Constraint]) -> list[Fraction] | None:
-    """A point satisfying all constraints, or None if there is none.
-
-    Free variables are split into positive and negative parts; a
-    phase-one simplex minimizes the sum of artificials.
-    """
-    m = len(constraints)
+    """A point satisfying all constraints, or None if there is none."""
     n_struct = 2 * n_vars + sum(1 for c in constraints if c[1] != "==")
-    ncols = n_struct + m  # artificials at the end
     zero = Fraction(0)
-    one = Fraction(1)
-
     rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
     slack_at = 2 * n_vars
-    for r, (coeffs, rel, b) in enumerate(constraints):
-        row = [zero] * ncols
-        for j, a in enumerate(coeffs):
-            a = Fraction(a)
-            if a:
-                row[j] = a
-                row[n_vars + j] = -a
-        if rel == "<=":
-            row[slack_at] = one
-            slack_at += 1
-        elif rel == ">=":
-            row[slack_at] = -one
-            slack_at += 1
-        elif rel != "==":
+    for coeffs, rel, b in constraints:
+        if rel not in ("<=", ">=", "=="):
             raise ValueError(f"unknown relation {rel!r}")
-        b = Fraction(b)
-        if b < 0:
-            row = [-a for a in row]
-            b = -b
-        row[n_struct + r] = one
-        rows.append(row)
-        rhs.append(b)
-
-    basis = [n_struct + r for r in range(m)]
-    # phase-one objective row: reduced costs of sum-of-artificials
-    obj = [zero] * ncols
-    for r in range(m):
-        for j in range(n_struct):
-            obj[j] -= rows[r][j]
-    obj_val = -sum(rhs, zero)
+        row = [zero] * (n_struct + 1)
+        for j, a in enumerate(coeffs):
+            if a:
+                row[j] = Fraction(a)
+                row[n_vars + j] = -row[j]
+        if rel != "==":
+            row[slack_at] = Fraction(1 if rel == "<=" else -1)
+            slack_at += 1
+        row[-1] = Fraction(b)
+        rows.append([-a for a in row] if row[-1] < 0 else row)
+    basis = [n_struct + r for r in range(len(rows))]
+    obj = [-sum(col, zero) for col in zip(*rows)] if rows else [zero] * (n_struct + 1)
 
     while True:
-        enter = -1
-        for j in range(n_struct):  # artificials never re-enter
-            if obj[j] < 0:
-                enter = j
-                break
+        enter = next((j for j in range(n_struct) if obj[j] < 0), -1)
         if enter < 0:
             break
-        leave = -1
-        best = None
-        for r in range(m):
-            a = rows[r][enter]
-            if a > 0:
-                ratio = rhs[r] / a
+        leave, best = -1, None
+        for r, row in enumerate(rows):
+            if row[enter] > 0:
+                ratio = row[-1] / row[enter]
                 if best is None or ratio < best or (ratio == best and basis[r] < basis[leave]):
-                    best = ratio
-                    leave = r
+                    leave, best = r, ratio
         if leave < 0:
             # unbounded phase-one objective cannot happen; defensive
             raise ArithmeticError("phase-one simplex became unbounded")
-        piv = rows[leave][enter]
-        rows[leave] = [a / piv for a in rows[leave]]
-        rhs[leave] = rhs[leave] / piv
-        for r in range(m):
-            if r != leave and rows[r][enter]:
-                f = rows[r][enter]
-                rows[r] = [a - f * p for a, p in zip(rows[r], rows[leave])]
-                rhs[r] = rhs[r] - f * rhs[leave]
-        if obj[enter]:
-            f = obj[enter]
-            obj = [a - f * p for a, p in zip(obj, rows[leave])]
-            obj_val = obj_val - f * rhs[leave]
+        prow = rows[leave]
+        piv = prow[enter]
+        nonzero = [j for j, a in enumerate(prow) if a]
+        for j in nonzero:
+            prow[j] /= piv
+        for row in (*rows, obj):
+            f = row[enter]
+            if f and row is not prow:
+                for j in nonzero:
+                    row[j] -= f * prow[j]
         basis[leave] = enter
 
-    if obj_val != 0:
+    if obj[-1] != 0:
         return None
     x = [zero] * n_vars
-    for r, col in enumerate(basis):
+    for row, col in zip(rows, basis):
         if col < n_vars:
-            x[col] += rhs[r]
+            x[col] += row[-1]
         elif col < 2 * n_vars:
-            x[col - n_vars] -= rhs[r]
+            x[col - n_vars] -= row[-1]
     return x

@@ -155,6 +155,24 @@ def test_core_check_with_alpha_times_value_beyond_the_float_range(runner, tmp_pa
     assert result.stderr.startswith("core check pass")
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("target", ["matching-alpha", "mst-alpha", "mst-bound"])
+def test_non_finite_alpha_or_bound_exits_two(runner, tmp_path, target, value):
+    path = write_single_edge(tmp_path) if target == "matching-alpha" else write_mst3(tmp_path)
+    if target == "mst-bound":
+        args = ["lipschitz", str(path), "--allocator", "mst-core", f"--bound={value}"]
+    else:
+        alloc_path = tmp_path / "alloc.json"
+        alloc_path.write_text(json.dumps({"0": 1.0, "1": 2.0}))
+        args = ["core-check", str(path), str(alloc_path), f"--alpha={value}"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # inf * 0 would warn of an invalid multiply
+        result = invoke(runner, args)
+    assert result.exit_code == 2
+    assert "finite" in result.stderr
+    assert len(result.stderr.splitlines()) == 1
+
+
 def test_core_check_failure_exits_one(runner, tmp_path):
     path = write_single_edge(tmp_path)
     alloc_path = tmp_path / "alloc.json"
