@@ -27,6 +27,7 @@ EXACT_SOLVE_MAX_AGENTS = 12
 
 SLACK_TOL = 1e-6
 GRAND_TOL = 1e-9
+PROBE_EXPONENTS = (0, 1, 2, 3)
 
 
 class CoreDirection(Enum):
@@ -194,11 +195,11 @@ class LipschitzReport:
         }
 
 
-def probe_deltas(w_e: float, exponents: Sequence[int] = (0, 1, 2, 3)) -> list[float]:
+def probe_deltas(w_e: float) -> list[float]:
     """Perturbation sizes for one edge: w_e * 10^-k, or plain 10^-k at weight zero."""
     if w_e > 0:
-        return [w_e * 10.0 ** -k for k in exponents]
-    return [10.0 ** -k for k in exponents]
+        return [w_e * 10.0 ** -k for k in PROBE_EXPONENTS]
+    return [10.0 ** -k for k in PROBE_EXPONENTS]
 
 
 Vectorizer = Callable[[GameInstance], Sequence[float]]
@@ -210,7 +211,6 @@ def lipschitz_scan(
     claimed_bound: float,
     name: str = "allocator",
     tol: float = SLACK_TOL,
-    delta_exponents: Sequence[int] = (0, 1, 2, 3),
 ) -> LipschitzReport:
     """One probe per (edge, delta): re-run the allocator on the bumped
     weights and record the l1 change per unit of weight change."""
@@ -227,7 +227,7 @@ def lipschitz_scan(
     rows = []
     for e in inst.edges:
         w_e = inst.weights[e.id]
-        for delta in probe_deltas(w_e, delta_exponents):
+        for delta in probe_deltas(w_e):
             bumped = inst.with_weights(perturb(inst.weights, e.id, delta))
             out = run(bumped, f"on edge {e.id} with delta {delta}")
             rows.append(ProbeRow(e.id, w_e, delta, float(np.abs(out - base).sum() / delta)))

@@ -37,17 +37,15 @@ class Edge:
 class GameInstance:
     """A graph game: agents 0..n-1, indexed edges, nonnegative weights.
 
-    ``root`` is the distinguished supply vertex of a spanning-tree game;
-    it is never an agent index. Edge ids must be exactly 0..m-1 and each
-    edge's position must equal its id, so that ``weights[e.id]`` is the
-    weight of edge ``e``.
+    A spanning-tree game's supply vertex is always ``ROOT``, never an
+    agent index. Edge ids must be exactly 0..m-1 and each edge's position
+    must equal its id, so that ``weights[e.id]`` is the weight of edge ``e``.
     """
 
     kind: GameKind
     n: int
     edges: tuple[Edge, ...]
     weights: tuple[float, ...]
-    root: int | None = None
 
     def __post_init__(self) -> None:
         if len(self.edges) != len(self.weights):
@@ -55,10 +53,6 @@ class GameInstance:
         for pos, e in enumerate(self.edges):
             if e.id != pos:
                 raise ValueError(f"edge at position {pos} has id {e.id}; ids must be 0..m-1 in order")
-        if self.kind is GameKind.MIN_SPANNING_TREE and self.root is None:
-            object.__setattr__(self, "root", ROOT)
-        if self.kind is GameKind.MATCHING and self.root is not None:
-            raise ValueError("matching games have no root vertex")
 
     @property
     def m(self) -> int:
@@ -72,14 +66,14 @@ class GameInstance:
         """Copy of this instance with a replaced weight vector."""
         if len(weights) != self.m:
             raise ValueError(f"expected {self.m} weights, got {len(weights)}")
-        return GameInstance(self.kind, self.n, self.edges, tuple(float(w) for w in weights), self.root)
+        return GameInstance(self.kind, self.n, self.edges, tuple(float(w) for w in weights))
 
     def root_edge_weight(self, v: int) -> float:
         """Weight of the edge joining agent v to the root (spanning-tree games)."""
         if self.kind is not GameKind.MIN_SPANNING_TREE:
             raise ValueError("root edges exist only in spanning-tree games")
         for e in self.edges:
-            if (e.u == self.root and e.v == v) or (e.v == self.root and e.u == v):
+            if (e.u == ROOT and e.v == v) or (e.v == ROOT and e.u == v):
                 return self.weights[e.id]
         raise ValueError(f"agent {v} has no edge to the root")
 
@@ -215,8 +209,7 @@ def instance_from_dict(data: dict) -> GameInstance:
         raise ValueError(f"edge ids must be exactly 0..{len(records) - 1}, got {ids}")
     edges = tuple(Edge(eid, u, v) for eid, u, v, _ in records)
     weights = tuple(w for _, _, _, w in records)
-    root = ROOT if kind is GameKind.MIN_SPANNING_TREE else None
-    return GameInstance(kind, n, edges, weights, root)
+    return GameInstance(kind, n, edges, weights)
 
 
 def load_instance(path: str) -> GameInstance:

@@ -4,6 +4,8 @@ instances."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .games import ROOT, Edge, GameInstance, GameKind, validate_instance
@@ -43,8 +45,8 @@ def gen_path_pair_bumped(n: int, delta: float) -> tuple[GameInstance, GameInstan
     """Uniform path plus a copy whose second edge weighs 1 + delta."""
     if n < 5 or n % 2 == 0:
         raise ValueError(f"n must be odd and at least 5, got {n}")
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
+    if not 0 < delta < math.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta}")
     base = gen_path_uniform(n)
     w = list(base.weights)
     w[1] = 1.0 + delta
@@ -61,8 +63,8 @@ def gen_random(
         raise ValueError(f"need at least one agent, got {n}")
     if not 0.0 <= edge_prob <= 1.0:
         raise ValueError(f"edge_prob must lie in [0, 1], got {edge_prob}")
-    if w_max <= 0:
-        raise ValueError(f"w_max must be positive, got {w_max}")
+    if not 0 < w_max < math.inf:
+        raise ValueError(f"w_max must be positive and finite, got {w_max}")
     rng = np.random.default_rng(seed)
     edges: list[Edge] = []
     weights: list[float] = []
@@ -80,5 +82,4 @@ def gen_random(
             if rng.random() < edge_prob:
                 edges.append(Edge(len(edges), u, v))
                 weights.append(draw_weight())
-    root = ROOT if kind is GameKind.MIN_SPANNING_TREE else None
-    return _checked(GameInstance(kind, n, tuple(edges), tuple(weights), root))
+    return _checked(GameInstance(kind, n, tuple(edges), tuple(weights)))

@@ -166,7 +166,7 @@ def _spanning_game(inst: GameInstance, weights: Sequence[float]) -> GameInstance
     """
     taken = spanning_edges(inst, (1 << inst.n) - 1, _sorted_edge_ids(inst, weights))
     edges = tuple(Edge(i, inst.edges[eid].u, inst.edges[eid].v) for i, eid in enumerate(taken))
-    return GameInstance(inst.kind, inst.n, edges, tuple(weights[eid] for eid in taken), inst.root)
+    return GameInstance(inst.kind, inst.n, edges, tuple(weights[eid] for eid in taken))
 
 
 def offset_dendrogram(inst: GameInstance, weights: Sequence[float], b: float) -> AuxiliaryTree:

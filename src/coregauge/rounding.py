@@ -36,14 +36,12 @@ def rounding_exponent(w: float, b: float, base: float) -> int:
 
 @dataclass(frozen=True)
 class RoundedWeights:
-    """Rounded weight vector for one (base, offset) pair.
+    """Rounded weight vector at one offset.
 
     ``exponents[e]`` is None exactly when the input weight is zero, in
     which case the rounded weight is zero as well.
     """
 
-    base: float
-    offset: float
     exponents: tuple[int | None, ...]
     rounded: tuple[float, ...]
 
@@ -114,7 +112,7 @@ class RoundingSchedule:
             for w, i in zip(self.weights, self.start_exponents)
         )
         rounded = tuple(0.0 if i is None else levels[i + 1] for i in exponents)
-        return RoundedWeights(self.base, b, exponents, rounded)
+        return RoundedWeights(exponents, rounded)
 
 
 def round_weights(weights: Sequence[float], b: float, base: float) -> RoundedWeights:

@@ -22,7 +22,7 @@ def matching_instance(n: int, weighted_edges: list[tuple[int, int, float]]) -> G
 def mst_instance(n: int, weighted_edges: list[tuple[int, int, float]]) -> GameInstance:
     edges = tuple(Edge(i, u, v) for i, (u, v, _) in enumerate(weighted_edges))
     weights = tuple(float(w) for _, _, w in weighted_edges)
-    return GameInstance(GameKind.MIN_SPANNING_TREE, n, edges, weights, ROOT)
+    return GameInstance(GameKind.MIN_SPANNING_TREE, n, edges, weights)
 
 
 def brute_max_matching(inst: GameInstance, S) -> float:

@@ -1,15 +1,24 @@
 """Monte-Carlo oracles for the closed-form offset integrals.
 
-Each sampled offset gets a full, independent run of the fixed-offset
-allocator: rounding exponents recomputed from scratch, greedy scan or
-Kruskal merges executed per sample. Nothing here reuses the package's
-breakpoint or scaling machinery, so agreement with the closed forms is
-a real cross-check. Offsets are stratified over [0, 1) (one uniform
-draw per equal-width stratum), which keeps the estimator unbiased while
-shrinking its true error far below the iid standard-error yardstick.
+Each sampled offset gets its own rounding exponents, recomputed from
+scratch by floor(log) and a repair to the defining inequality. Samples
+with equal exponent vectors are consecutive, because the offsets are
+stratified and increase and each positive edge changes exponent at most
+once on [0, 1). The fixed-offset rule (a greedy scan or Kruskal merges)
+runs in full once per such run, on the run's first rounded row. Every
+other row of the run is that row's output times base**(b - b_first),
+since its rounded weights are the first row's times that factor and the
+rule is homogeneous of degree one. Nothing here reuses the package's
+breakpoint or scaling machinery: the runs come from the oracle's own
+per-sample exponents, so agreement with the closed forms is a real
+cross-check. Offsets are stratified over [0, 1) (one uniform draw per
+equal-width stratum), which keeps the estimator unbiased while shrinking
+its true error far below the iid standard-error yardstick.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 import numpy as np
 
@@ -17,14 +26,17 @@ from coregauge.games import ROOT, GameInstance
 
 GROUP_TOL = 1e-12
 
+Rule = Callable[[np.ndarray], list[float]]
+
 
 def stratified_offsets(samples: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     return (np.arange(samples) + rng.random(samples)) / samples
 
 
-def _rounded_matrix(weights: np.ndarray, b: np.ndarray, base: float) -> np.ndarray:
-    """Per-sample rounded weights, shape (samples, edges)."""
+def _exponent_matrix(weights: np.ndarray, b: np.ndarray, base: float) -> np.ndarray:
+    """Per-sample rounding exponents, shape (samples, edges); -inf marks a
+    zero weight."""
     pos = weights > 0
     logs = np.full(weights.shape, -np.inf)
     logs[pos] = np.log(weights[pos]) / np.log(base)
@@ -35,40 +47,56 @@ def _rounded_matrix(weights: np.ndarray, b: np.ndarray, base: float) -> np.ndarr
         expo[too_high] -= 1.0
         too_low = pos[None, :] & (base ** (expo + 1.0 + b[:, None]) <= w_row)
         expo[too_low] += 1.0
-    rounded = np.where(pos[None, :], base ** (expo + 1.0 + b[:, None]), 0.0)
-    return rounded
+    return expo
+
+
+def _rounded_matrix(weights: np.ndarray, b: np.ndarray, base: float) -> np.ndarray:
+    """Per-sample rounded weights, shape (samples, edges)."""
+    expo = _exponent_matrix(weights, b, base)
+    return np.where(weights > 0, base ** (expo + 1.0 + b[:, None]), 0.0)
+
+
+def _run_rows(rule: Rule, n: int, weights, base: float, b: np.ndarray) -> np.ndarray:
+    """rule(rounded row) for every offset in b, shape (samples, n), with
+    one rule run per run of equal exponent vectors."""
+    w = np.asarray(weights, dtype=float)
+    expo = _exponent_matrix(w, b, base)
+    starts = np.flatnonzero(np.r_[True, (expo[1:] != expo[:-1]).any(axis=1)])
+    assert len(starts) <= np.count_nonzero(w > 0) + 1, "an edge changed exponent twice"
+    out = np.empty((len(b), n))
+    for lo, hi in zip(starts, np.r_[starts[1:], len(b)]):
+        row = np.where(w > 0, base ** (expo[lo] + 1.0 + b[lo]), 0.0)
+        out[lo:hi] = np.outer(base ** (b[lo:hi] - b[lo]), rule(row))
+    return out
+
+
+def _greedy_once(n: int, eu, ev, rounded_row: np.ndarray) -> list[float]:
+    """One greedy scan: edges ranked by rounded weight, ties by edge id;
+    an edge of positive weight whose endpoints are both free is matched
+    and pays each endpoint its weight."""
+    z = [0.0] * n
+    free = [True] * n
+    row = rounded_row.tolist()
+    for eid in np.argsort(-rounded_row, kind="stable").tolist():
+        u, v = eu[eid], ev[eid]
+        if row[eid] > 0 and free[u] and free[v]:
+            free[u] = free[v] = False
+            z[u] = z[v] = row[eid]
+    return z
+
+
+def matching_rule(inst: GameInstance) -> Rule:
+    eu = [e.u for e in inst.edges]
+    ev = [e.v for e in inst.edges]
+    return lambda row: _greedy_once(inst.n, eu, ev, row)
 
 
 def mc_matching_samples(
     inst: GameInstance, weights, base: float, samples: int, seed: int
 ) -> np.ndarray:
-    """Greedy payout vectors for stratified offsets, shape (samples, n).
-
-    Every sample runs the full greedy scan: edges ranked by its own
-    rounded weights (ties by edge id), matched only when both endpoints
-    are free.
-    """
+    """Greedy payout vectors for stratified offsets, shape (samples, n)."""
     b = stratified_offsets(samples, seed)
-    w = np.asarray(weights, dtype=float)
-    rounded = _rounded_matrix(w, b, base)
-    order = np.argsort(-rounded, axis=1, kind="stable")  # stable: ties keep id order
-    eu = np.asarray([e.u for e in inst.edges])
-    ev = np.asarray([e.v for e in inst.edges])
-    covered = np.zeros((samples, inst.n), dtype=bool)
-    z = np.zeros((samples, inst.n))
-    rows = np.arange(samples)
-    for p in range(inst.m):
-        eid = order[:, p]
-        val = rounded[rows, eid]
-        u = eu[eid]
-        v = ev[eid]
-        ok = (val > 0) & ~covered[rows, u] & ~covered[rows, v]
-        hit = rows[ok]
-        covered[hit, u[ok]] = True
-        covered[hit, v[ok]] = True
-        z[hit, u[ok]] = val[ok]
-        z[hit, v[ok]] = val[ok]
-    return z
+    return _run_rows(matching_rule(inst), inst.n, weights, base, b)
 
 
 def _mst_alloc_once(n: int, eu, ev, rounded_row, order) -> list[float]:
@@ -119,78 +147,20 @@ def _mst_alloc_once(n: int, eu, ev, rounded_row, order) -> list[float]:
     return z
 
 
-def _find(parent: np.ndarray, rows: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Union-find roots of vertex x[i] in row rows[i]."""
-    while True:
-        up = parent[rows, x]
-        moving = up != x
-        if not moving.any():
-            return x
-        x = np.where(moving, up, x)
-
-
-def _mst_alloc_lockstep(n: int, eu: np.ndarray, ev: np.ndarray, rounded: np.ndarray,
-                        orders: np.ndarray) -> np.ndarray:
-    """_mst_alloc_once on every row at once, shape (samples, n).
-
-    Union-find arrays have shape (samples, n+1), slot n is the supply
-    vertex. A payout to a whole component is added to its root's offset,
-    and a vertex's payout is the sum of the offsets on its path to the
-    root, so linking root b under root a subtracts a's offset from b's.
-    Each component that exists when a tie group starts is paid once, the
-    first time it merges in that group.
-    """
-    samples, m = orders.shape
-    rows = np.arange(samples)
-    parent = np.tile(np.arange(n + 1), (samples, 1))
-    size = np.tile(np.append(np.ones(n), 0.0), (samples, 1))  # agents per component
-    supply = np.zeros((samples, n + 1), dtype=bool)
-    supply[:, n] = True
-    offset = np.zeros((samples, n + 1))
-    merged_in = np.full((samples, n + 1), -1)  # tie group of a root's last merge
-    group = np.zeros(samples, dtype=int)
-    level = rounded[rows, orders[:, 0]] if m else np.zeros(samples)
-    for p in range(m):
-        eid = orders[:, p]
-        val = rounded[rows, eid]
-        fresh = val - level > GROUP_TOL
-        group += fresh
-        level = np.where(fresh, val, level)
-        a = _find(parent, rows, eu[eid])
-        b = _find(parent, rows, ev[eid])
-        hit = a != b
-        r, a, b, lv, g = rows[hit], a[hit], b[hit], level[hit], group[hit]
-        for x in (a, b):
-            pay = (merged_in[r, x] != g) & ~supply[r, x] & (lv > 0.0)
-            offset[r[pay], x[pay]] += lv[pay] / size[r[pay], x[pay]]
-        offset[r, b] -= offset[r, a]
-        parent[r, b] = a
-        size[r, a] += size[r, b]
-        supply[r, a] |= supply[r, b]
-        merged_in[r, a] = g
-    z = offset[:, :n].copy()
-    x = np.tile(np.arange(n), (samples, 1))
-    while True:
-        up = np.take_along_axis(parent, x, axis=1)
-        moving = up != x
-        if not moving.any():
-            return z
-        x = np.where(moving, up, x)
-        z += np.where(moving, np.take_along_axis(offset, x, axis=1), 0.0)
+def mst_rule(inst: GameInstance) -> Rule:
+    eu = [inst.n if e.u == ROOT else e.u for e in inst.edges]
+    ev = [inst.n if e.v == ROOT else e.v for e in inst.edges]
+    return lambda row: _mst_alloc_once(
+        inst.n, eu, ev, row.tolist(), np.argsort(row, kind="stable").tolist()
+    )
 
 
 def mc_mst_samples(
     inst: GameInstance, weights, samples: int, seed: int
 ) -> np.ndarray:
-    """Cost-share vectors for stratified offsets, shape (samples, n): every
-    sample runs its own Kruskal pass, all samples in lockstep."""
+    """Kruskal cost-share vectors for stratified offsets, shape (samples, n)."""
     b = stratified_offsets(samples, seed)
-    w = np.asarray(weights, dtype=float)
-    rounded = _rounded_matrix(w, b, 2.0)
-    orders = np.argsort(rounded, axis=1, kind="stable")
-    eu = np.asarray([inst.n if e.u == ROOT else e.u for e in inst.edges], dtype=int)
-    ev = np.asarray([inst.n if e.v == ROOT else e.v for e in inst.edges], dtype=int)
-    return _mst_alloc_lockstep(inst.n, eu, ev, rounded, orders)
+    return _run_rows(mst_rule(inst), inst.n, weights, 2.0, b)
 
 
 def mc_mean_and_se(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -173,6 +173,21 @@ def test_non_finite_alpha_or_bound_exits_two(runner, tmp_path, target, value):
     assert len(result.stderr.splitlines()) == 1
 
 
+@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize(
+    "args",
+    [["random", "--kind", "mst", "--n", "3", "--seed", "1", "--w-max"],
+     ["path-bump", "--n", "5", "--out-second", "b.json", "--delta"]],
+    ids=["w-max", "delta"],
+)
+def test_non_finite_generator_parameters_exit_two(runner, tmp_path, args, value):
+    args = [str(tmp_path / a) if a.endswith(".json") else a for a in args]
+    result = runner.invoke(main, ["gen", *args, value, "-o", str(tmp_path / "a.json")])
+    expect_input_error(result, "finite")
+    assert len(result.stderr.splitlines()) == 1
+    assert "Traceback" not in result.output
+
+
 def test_core_check_failure_exits_one(runner, tmp_path):
     path = write_single_edge(tmp_path)
     alloc_path = tmp_path / "alloc.json"
