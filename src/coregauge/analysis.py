@@ -13,9 +13,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
-import numpy as np
-
-from .games import Allocation, GameInstance, GameKind, perturb
+from .games import Allocation, GameInstance, GameKind, l1_distance, perturb
 from .matching import integrate_matching, matching_core_allocate
 from .mst import integrate_mst, mst_core_allocate
 from .oracles import CharTable, agents_of, char_table, coalition_values
@@ -55,33 +53,34 @@ class CoreReport:
         }
 
 
-def _subset_sums(values: Sequence) -> np.ndarray:
+def _subset_sums(values: Sequence) -> list:
     """sums[mask] = sum of values over the agents in mask, for all masks;
-    Fractions stay exact in an object array."""
-    sums = np.zeros(1, dtype=np.asarray(values).dtype)
+    Fractions stay exact."""
+    sums: list = [0]
     for v in values:
-        sums = np.concatenate([sums, sums + v])
+        sums += [s + v for s in sums]
     return sums
 
 
-def _slacks(
-    kind: GameKind, values: Sequence, allocated: Sequence, alpha: float
-) -> tuple[np.ndarray, np.ndarray]:
+def _slacks(kind: GameKind, values: Sequence, allocated: Sequence, alpha: float) -> tuple[list, list]:
     """Allocated sums and relaxed-constraint slacks of every coalition, by
-    mask; Fraction values and allocations with an int alpha stay exact."""
-    with np.errstate(over="ignore"):  # a sum or alpha * value beyond the float range is infinite
-        sums = _subset_sums(allocated)
-        if kind is GameKind.MATCHING:
-            return sums, sums - alpha * np.asarray(values)
-        return sums, alpha * np.asarray(values) - sums
+    mask; Fraction values and allocations with an int alpha stay exact. A
+    float sum or product beyond the float range is infinite."""
+    sums = _subset_sums(allocated)
+    if kind is GameKind.MATCHING:
+        return sums, [s - alpha * v for s, v in zip(sums, values)]
+    return sums, [alpha * v - s for s, v in zip(sums, values)]
 
 
-def _worst(slack: np.ndarray) -> tuple[int, object]:
-    """First arg-min of the slack over the nonempty proper coalitions,
-    masks 1..2^n-2, or (0, 0) when there is none (n <= 1)."""
-    if len(slack) <= 2:
+def _worst(slack: Sequence) -> tuple[int, object]:
+    """Arg-min of the slack over the nonempty proper coalitions, masks
+    1..2^n-2: the first NaN, else the first minimum; (0, 0) when there is
+    no such coalition (n <= 1)."""
+    proper = range(1, len(slack) - 1)
+    if not proper:
         return 0, 0
-    mask = 1 + int(np.argmin(slack[1:-1]))
+    first_nan = next((m for m in proper if slack[m] != slack[m]), 0)  # masks here start at 1
+    mask = first_nan or min(proper, key=slack.__getitem__)
     return mask, slack[mask]
 
 
@@ -135,7 +134,7 @@ def iter_core_rows(
     """(subset, coalition value, allocated sum, slack) for every proper coalition."""
     sums, slack = _slacks(table.game.kind, table.values, x.values, alpha)
     for mask in range(len(sums) - 1):
-        yield agents_of(mask), float(table.values[mask]), float(sums[mask]), float(slack[mask])
+        yield agents_of(mask), table.values[mask], float(sums[mask]), float(slack[mask])
 
 
 def exact_core_solve(inst: GameInstance) -> Allocation | None:
@@ -215,9 +214,9 @@ def lipschitz_scan(
     """One probe per (edge, delta): re-run the allocator on the bumped
     weights and record the l1 change per unit of weight change."""
 
-    def run(target: GameInstance, where: str) -> np.ndarray:
+    def run(target: GameInstance, where: str) -> Sequence[float]:
         try:
-            return np.asarray(allocator(target), dtype=float)
+            return allocator(target)
         except Exception as exc:
             raise RuntimeError(f"allocator {name!r} failed {where}: {exc}") from exc
 
@@ -230,7 +229,7 @@ def lipschitz_scan(
         for delta in probe_deltas(w_e):
             bumped = inst.with_weights(perturb(inst.weights, e.id, delta))
             out = run(bumped, f"on edge {e.id} with delta {delta}")
-            rows.append(ProbeRow(e.id, w_e, delta, float(np.abs(out - base).sum() / delta)))
+            rows.append(ProbeRow(e.id, w_e, delta, l1_distance(out, base) / delta))
     max_ratio = max((r.ratio for r in rows), default=0.0)
     return LipschitzReport(
         allocator=name,

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
-import numpy as np
-
 ROOT = -1
 
 
@@ -100,7 +98,9 @@ class Allocation:
     def total(self) -> float:
         return math.fsum(self.values)
 
-    def as_array(self) -> np.ndarray:
+    def as_array(self):
+        import numpy as np  # kept off the package's import path
+
         return np.asarray(self.values, dtype=float)
 
 

@@ -6,8 +6,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .games import ROOT, Edge, GameInstance, GameKind, validate_instance
 
 
@@ -65,6 +63,8 @@ def gen_random(
         raise ValueError(f"edge_prob must lie in [0, 1], got {edge_prob}")
     if not 0 < w_max < math.inf:
         raise ValueError(f"w_max must be positive and finite, got {w_max}")
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     edges: list[Edge] = []
     weights: list[float] = []

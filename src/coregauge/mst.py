@@ -1,14 +1,16 @@
 """Perturbation-stable approximate-core allocation for spanning-tree games.
 
 Weights are rounded to powers of two, then a merge dendrogram replays
-Kruskal's algorithm on the rounded weights of the n minimum spanning
-tree edges: each dendrogram node is a connected component at the
-rounded weight at which it first appears, and its height is that
-weight. Every dendrogram edge whose subtree avoids the supply vertex
-spreads the parent height evenly over the agents below it. Averaging
-over the rounding offset and rescaling to the true tree cost gives a
-4-approximate core allocation whose l1 sensitivity to a single-edge
-change is at most 20/ln2 + 1.
+Kruskal's algorithm on the rounded weights: each dendrogram node is a
+connected component at the rounded weight at which it first appears,
+and its height is that weight. Every dendrogram edge whose subtree
+avoids the supply vertex spreads the parent height evenly over the
+agents below it. Rounding up is monotone, so the dendrogram at every
+offset is a coarsening of the one dendrogram of the exact weights, and
+the allocators build only that one. Averaging over the rounding offset
+and rescaling to the true tree cost gives a 4-approximate core
+allocation whose l1 sensitivity to a single-edge change is at most
+20/ln2 + 1.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ from dataclasses import dataclass
 from itertools import groupby
 from typing import Sequence
 
-from .games import ROOT, Allocation, Edge, GameInstance, GameKind
+from .games import ROOT, Allocation, GameInstance, GameKind
 from .matching import normalize_welfare
-from .oracles import _slots, _sorted_edge_ids, _UnionFind, mask_of, spanning_edges
+from .oracles import _slots, _UnionFind, mask_of
 from .rounding import (
     BreakpointDecomposition,
     RoundedWeights,
@@ -86,7 +88,7 @@ class AuxiliaryTree:
         }
 
 
-def auxiliary_tree(inst: GameInstance, rounded: Sequence[float]) -> AuxiliaryTree:
+def auxiliary_tree(inst: GameInstance, weights: Sequence[float]) -> AuxiliaryTree:
     """Merge dendrogram of Kruskal's algorithm on the given weights.
 
     Equal weights are added simultaneously; every component created by
@@ -103,8 +105,10 @@ def auxiliary_tree(inst: GameInstance, rounded: Sequence[float]) -> AuxiliaryTre
     uf = _UnionFind(n + 1)
     node_of: dict[int, int] = {slot: slot for slot in range(n + 1)}
 
-    order = sorted(range(inst.m), key=lambda eid: (rounded[eid], eid))
-    for level, batch in groupby(order, key=lambda eid: rounded[eid]):
+    order = sorted(range(inst.m), key=lambda eid: (weights[eid], eid))
+    for level, batch in groupby(order, key=lambda eid: weights[eid]):
+        if len(node_of) == 1:
+            break
         ends = [_slots(inst.edges[eid], n) for eid in batch]
         touched = {uf.find(x) for pair in ends for x in pair}
         for a, b in ends:
@@ -127,18 +131,28 @@ def auxiliary_tree(inst: GameInstance, rounded: Sequence[float]) -> AuxiliaryTre
     return AuxiliaryTree(tuple(nodes), top)
 
 
-def _shares(tree: AuxiliaryTree, n: int) -> list[float]:
-    """Every dendrogram edge whose subtree avoids the supply vertex splits
-    the parent height evenly over the agents below it. One pass from the
-    top carries, per node, what each of its agents got from the edges
-    above it; agent v's share is then read at its leaf v."""
+def _heights(tree: AuxiliaryTree) -> tuple[float, ...]:
+    return tuple(node.height for node in tree.nodes)
+
+
+def _shares(tree: AuxiliaryTree, rounded: Sequence[float], n: int) -> list[float]:
+    """Fixed-offset shares, with node i of the exact-weight dendrogram at
+    rounded height ``rounded[i]``. The rounded dendrogram is this one with
+    every child that rounds to its parent's height merged into the parent.
+    Each of its edges whose subtree avoids the supply vertex splits the
+    parent height evenly over the agents below it. One pass from the top
+    carries, per node, what each of its agents got from the edges above
+    it (a merged child carries its parent's); agent v's share is read at
+    its leaf v."""
     nodes = tree.nodes
     carried = [0.0] * len(nodes)
     for node in reversed(nodes):  # every child id is below its parent's
+        height = rounded[node.id]
         for c in node.children:
-            child = nodes[c]
-            if not child.has_supply:
-                carried[c] = carried[node.id] + node.height / child.agent_mask.bit_count()
+            if rounded[c] == height:  # equal exponents give bit-identical heights
+                carried[c] = carried[node.id]
+            elif not nodes[c].has_supply:
+                carried[c] = carried[node.id] + height / nodes[c].agent_mask.bit_count()
     return carried[:n]
 
 
@@ -156,62 +170,56 @@ def connector_sum(tree: AuxiliaryTree, S: Sequence[int] | set[int]) -> float:
     return total
 
 
-def _spanning_game(inst: GameInstance, weights: Sequence[float]) -> GameInstance:
-    """The n edges Kruskal's algorithm keeps on ``weights``, renumbered
-    0..n-1 in the order it takes them.
-
-    Rounding up is monotone, so below every threshold the rounded graph
-    and its rounded tree edges have the same components: the merge
-    dendrogram at any offset depends on these edges only.
-    """
-    taken = spanning_edges(inst, (1 << inst.n) - 1, _sorted_edge_ids(inst, weights))
-    edges = tuple(Edge(i, inst.edges[eid].u, inst.edges[eid].v) for i, eid in enumerate(taken))
-    return GameInstance(inst.kind, inst.n, edges, tuple(weights[eid] for eid in taken))
+def _rounded_at(weights: Sequence[float], b: float) -> tuple[float, ...]:
+    try:
+        return round_weights_mst(weights, b).rounded
+    except OverflowError:
+        raise ValueError("a rounded weight exceeds the float range") from None
 
 
 def offset_dendrogram(inst: GameInstance, weights: Sequence[float], b: float) -> AuxiliaryTree:
-    """Merge dendrogram of ``weights`` rounded at offset ``b``, built on
-    the n minimum spanning tree edges (see _spanning_game)."""
-    _require_mst(inst)
-    spanning = _spanning_game(inst, weights)
-    try:
-        rounded = round_weights_mst(spanning.weights, b).rounded
-    except OverflowError:
-        raise ValueError("a rounded weight exceeds the float range") from None
-    return auxiliary_tree(spanning, rounded)
+    """Merge dendrogram of ``weights`` rounded at offset ``b``.
+
+    Rounding is monotone, so a weight above the heaviest spanning tree
+    edge rounds to the level of the last merge or above it. Capping it at
+    that edge's weight leaves the dendrogram as it is, and keeps the
+    rounding of an unused heavy edge inside the float range.
+    """
+    exact = auxiliary_tree(inst, weights)
+    top = exact.nodes[exact.top].height
+    return auxiliary_tree(inst, _rounded_at([min(w, top) for w in weights], b))
 
 
 def mst_allocate(inst: GameInstance, weights: Sequence[float], b: float) -> Allocation:
-    """Fixed-offset cost shares from the merge dendrogram at offset ``b``."""
-    return Allocation.of(_shares(offset_dendrogram(inst, weights, b), inst.n))
+    """Fixed-offset cost shares: the exact dendrogram's heights rounded at ``b``."""
+    tree = auxiliary_tree(inst, weights)
+    return Allocation.of(_shares(tree, _rounded_at(_heights(tree), b), inst.n))
 
 
-def _tree_integral(spanning: GameInstance) -> Allocation:
-    def rule(rounded: Sequence[float]) -> list[float]:
-        return _shares(auxiliary_tree(spanning, rounded), spanning.n)
-
-    return offset_average(RoundingSchedule.of(spanning.weights, MST_BASE), rule)
+def _tree_integral(tree: AuxiliaryTree, heights: Sequence[float], n: int) -> Allocation:
+    return offset_average(RoundingSchedule.of(heights, MST_BASE), lambda r: _shares(tree, r, n))
 
 
 def integrate_mst(inst: GameInstance, weights: Sequence[float]) -> Allocation:
     """Exact average of the fixed-offset shares over offsets in [0, 1].
 
-    Between breakpoints the dendrogram shape is constant and all heights
-    scale as 2**b, so one run per interval midpoint integrates exactly.
-    Only the n minimum spanning tree edges matter (see _spanning_game).
+    Every offset's dendrogram coarsens the one exact-weight dendrogram,
+    built once. Between breakpoints of its heights the coarsening is
+    constant and all rounded heights scale as 2**b, so one pass per
+    interval midpoint integrates exactly.
     """
-    _require_mst(inst)
-    return _tree_integral(_spanning_game(inst, weights))
+    tree = auxiliary_tree(inst, weights)
+    return _tree_integral(tree, _heights(tree), inst.n)
 
 
 def mst_core_allocate(inst: GameInstance, weights: Sequence[float]) -> Allocation:
     """Allocation in the 4-approximate core of the spanning-tree game,
     summing to the true minimum spanning tree cost."""
-    _require_mst(inst)
-    spanning = _spanning_game(inst, weights)
-    raw = _tree_integral(spanning.with_weights(within_rounding_range(spanning.weights)))
-    try:
-        grand = math.fsum(spanning.weights)
+    tree = auxiliary_tree(inst, weights)
+    heights = _heights(tree)
+    raw = _tree_integral(tree, within_rounding_range(heights), inst.n)
+    try:  # a node with k children took k - 1 tree edges of its height
+        grand = math.fsum(heights[node.id] for node in tree.nodes for _ in node.children[1:])
     except OverflowError:
         grand = math.inf
     return normalize_welfare(raw, grand)

@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .games import ROOT, Edge, GameInstance, GameKind, perturb
 
 CHAR_TABLE_MAX_AGENTS = 20
@@ -178,24 +176,24 @@ class CharTable:
     """Coalition values for every subset, indexed by bitmask over agents."""
 
     game: GameInstance
-    values: np.ndarray
+    values: list[float]
 
     def __getitem__(self, mask: int) -> float:
-        return float(self.values[mask])
+        return self.values[mask]
 
     def value_of(self, S: Iterable[int]) -> float:
-        return float(self.values[mask_of(S)])
+        return self.values[mask_of(S)]
 
     @property
     def grand(self) -> float:
-        return float(self.values[len(self.values) - 1])
+        return self.values[-1]
 
 
 def char_table(inst: GameInstance) -> CharTable:
     """All 2^n coalition values; refuses instances with more than 20 agents."""
     if inst.n > CHAR_TABLE_MAX_AGENTS:
         raise ValueError(f"coalition enumeration is limited to {CHAR_TABLE_MAX_AGENTS} agents, got {inst.n}")
-    return CharTable(inst, np.asarray(coalition_values(inst, inst.weights), dtype=float))
+    return CharTable(inst, [float(v) for v in coalition_values(inst, inst.weights)])
 
 
 def marginal_monotonicity_check(

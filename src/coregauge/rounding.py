@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .games import Allocation
 
 BREAKPOINT_TOL = 1e-12
@@ -138,11 +136,13 @@ def offset_average(
     """
     base = schedule.base
     log_base = math.log(base)
-    total = 0.0
+    total: list[float] = []
     for lo, hi in schedule.decomposition.intervals():
         mid = (lo + hi) / 2.0
         factor = (base ** (hi - mid) - base ** (lo - mid)) / log_base
-        total += np.asarray(rule(schedule.at(mid).rounded), dtype=float) * factor
+        part = [x * factor for x in rule(schedule.at(mid).rounded)]
+        # a running sum in interval order: from Python 3.12 sum() compensates floats
+        total = [t + x for t, x in zip(total, part)] if total else part
     return Allocation.of(total)
 
 

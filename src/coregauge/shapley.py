@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .games import GameInstance
 from .oracles import char_table, char_value, agents_of
 
@@ -66,6 +64,8 @@ def shapley_sample(inst: GameInstance, permutations: int, seed: int) -> ShapleyR
     """Unbiased Shapley estimate from seeded random agent orderings."""
     if permutations < 1:
         raise ValueError("at least one permutation is required")
+    import numpy as np
+
     n = inst.n
     rng = np.random.default_rng(seed)
     acc = np.zeros(n)

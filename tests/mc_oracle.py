@@ -24,8 +24,6 @@ import numpy as np
 
 from coregauge.games import ROOT, GameInstance
 
-GROUP_TOL = 1e-12
-
 Rule = Callable[[np.ndarray], list[float]]
 
 
@@ -113,7 +111,7 @@ def _mst_alloc_once(n: int, eu, ev, rounded_row, order) -> list[float]:
     while pos < m:
         level = rounded_row[order[pos]]
         absorbed: dict[int, list[int]] = {}
-        while pos < m and rounded_row[order[pos]] - level <= GROUP_TOL:
+        while pos < m and rounded_row[order[pos]] == level:  # equal levels are bit-identical
             eid = order[pos]
             pos += 1
             a = eu[eid]

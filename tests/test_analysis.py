@@ -50,6 +50,15 @@ def test_core_check_flags_the_wrong_core_point_under_zeroed_ends():
     assert report.grand_residual == pytest.approx(1.0)
 
 
+def test_core_check_names_the_first_nan_slack_as_the_worst():
+    # {0, 1} is allocated inf and costs inf; the singletons have finite slacks
+    inst = mst_instance(3, [(ROOT, v, 1e308) for v in range(3)])
+    report = core_check(inst, Allocation.of([1.7e308, 1.7e308, -1.7e308]), 1.0)
+    assert report.worst_subset == (0, 1)
+    assert math.isnan(report.worst_slack)
+    assert not report.passed
+
+
 def test_core_check_cost_direction():
     inst = mst_instance(2, [(ROOT, 0, 1.0), (ROOT, 1, 4.0), (0, 1, 2.0)])
     x = mst_core_allocate(inst, inst.weights)

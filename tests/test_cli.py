@@ -2,11 +2,15 @@ import gc
 import io
 import json
 import math
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import coregauge
 from coregauge.cli import main
 from coregauge.games import dump_instance
 from coregauge.instances import gen_path_uniform
@@ -153,6 +157,26 @@ def test_core_check_with_alpha_times_value_beyond_the_float_range(runner, tmp_pa
     assert result.exit_code == 0
     assert len(result.stderr.splitlines()) == 1
     assert result.stderr.startswith("core check pass")
+
+
+def test_core_check_with_a_nan_slack_exits_two_without_a_warning(runner, tmp_path):
+    # the pair {0, 1} is allocated inf and costs inf: its slack is NaN
+    path = tmp_path / "huge.json"
+    dump_instance(mst_instance(3, [(ROOT, v, 1e308) for v in range(3)]), str(path))
+    alloc_path = tmp_path / "alloc.json"
+    alloc_path.write_text(json.dumps({"0": 1.7e308, "1": 1.7e308, "2": -1.7e308}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = invoke(runner, ["core-check", str(path), str(alloc_path), "--alpha", "1"])
+    assert result.exit_code == 2
+    assert len(result.stderr.splitlines()) == 1
+
+
+def test_importing_the_package_loads_no_numpy():
+    src = Path(coregauge.__file__).resolve().parents[1]
+    code = "import sys, coregauge, coregauge.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

@@ -150,23 +150,59 @@ def test_mst_allocate_matches_the_per_edge_definition(seed):
         assert sum(abs(g - w) for g, w in zip(got, want)) <= 1e-12 * max(sum(want), 1e-300)
 
 
-@pytest.mark.parametrize("seed", range(89, 101))
-def test_offset_dendrogram_equals_the_whole_graph_dendrogram(seed):
-    # seed 89 at b=0.81 has a batch that set-iteration order numbers
-    # differently on the two edge sets
+def _offset_instance(seed):
     rng = np.random.default_rng(seed)
     inst = gen_random(GameKind.MIN_SPANNING_TREE, 9, 0.6, 10.0, seed)
     if seed % 2 == 0:
         inst = inst.with_weights(tuple(float(w) for w in rng.integers(0, 5, size=inst.m)))
-    for b in (0.0, 0.81, *rng.uniform(0, 1, size=3)):
+    return inst, (0.0, 0.81, *rng.uniform(0, 1, size=3))
+
+
+@pytest.mark.parametrize("seed", range(89, 101))
+def test_offset_dendrogram_equals_the_whole_graph_dendrogram(seed):
+    # offset_dendrogram caps the weights at the heaviest tree edge, which
+    # moves the heavier edges into the last batch; seed 89 at b=0.81 has
+    # a batch that set-iteration order would number differently
+    inst, offsets = _offset_instance(seed)
+    for b in offsets:
         whole = auxiliary_tree(inst, round_weights_mst(inst.weights, b).rounded)
         assert offset_dendrogram(inst, inst.weights, b).to_dict() == whole.to_dict()
 
 
+def test_offset_dendrogram_ignores_a_heavy_non_tree_edge():
+    heavy = mst_instance(2, [(ROOT, 0, 1.0), (ROOT, 1, 3.0), (0, 1, 1.7e308)])
+    light = heavy.with_weights((1.0, 3.0, 5.0))
+    for b in (0.0, 0.5, 1.0):
+        want = offset_dendrogram(light, light.weights, b).to_dict()
+        assert offset_dendrogram(heavy, heavy.weights, b).to_dict() == want
+
+
+def _top_down_shares(tree, n):
+    """Shares paid on a dendrogram by its own node heights: every edge whose
+    subtree avoids the supply vertex splits the parent height over the
+    agents below it, carried down from the top."""
+    carried = [0.0] * len(tree.nodes)
+    for node in reversed(tree.nodes):
+        for c in node.children:
+            child = tree.nodes[c]
+            if not child.has_supply:
+                carried[c] = carried[node.id] + node.height / child.agent_mask.bit_count()
+    return tuple(carried[:n])
+
+
+@pytest.mark.parametrize("seed", range(89, 101))
+def test_mst_allocate_pays_the_offset_dendrogram_exactly(seed):
+    inst, offsets = _offset_instance(seed)
+    for b in offsets:
+        want = _top_down_shares(offset_dendrogram(inst, inst.weights, b), inst.n)
+        assert mst_allocate(inst, inst.weights, b).values == want
+
+
 def test_offset_dendrogram_rejects_rounding_beyond_the_float_range():
     huge = mst_instance(1, [(ROOT, 0, 1.7e308)])
-    with pytest.raises(ValueError, match="float range"):
-        offset_dendrogram(huge, huge.weights, 0.0)
+    for build in (offset_dendrogram, mst_allocate):
+        with pytest.raises(ValueError, match="float range"):
+            build(huge, huge.weights, 0.0)
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -223,6 +259,22 @@ def test_integrate_single_agent_closed_form():
     assert out.values[0] == pytest.approx(1.0 / math.log(2), rel=1e-12)
 
 
+@pytest.mark.parametrize("seed", range(16))
+def test_integrate_sums_the_per_edge_definition_over_the_intervals(seed):
+    rng = np.random.default_rng(seed + 900)
+    inst = gen_random(GameKind.MIN_SPANNING_TREE, int(rng.integers(1, 9)), 0.6, 10.0, seed)
+    if seed % 2:  # integer weights, zeros included
+        inst = inst.with_weights(tuple(float(w) for w in rng.integers(0, 5, size=inst.m)))
+    want = [0.0] * inst.n
+    for lo, hi in breakpoints_mst(inst.weights).intervals():
+        mid = (lo + hi) / 2.0
+        factor = (2.0 ** (hi - mid) - 2.0 ** (lo - mid)) / math.log(2.0)
+        shares = _per_edge_shares(inst, round_weights_mst(inst.weights, mid).rounded)
+        want = [x + factor * z for x, z in zip(want, shares)]
+    got = integrate_mst(inst, inst.weights).values
+    assert sum(abs(g - w) for g, w in zip(got, want)) <= 1e-12 * max(sum(want), 1e-300)
+
+
 def test_integrate_zero_weights():
     inst = mst_instance(2, [(ROOT, 0, 0.0), (ROOT, 1, 0.0)])
     assert integrate_mst(inst, inst.weights).values == (0.0, 0.0)
@@ -234,6 +286,18 @@ def test_integrate_matches_monte_carlo(seed):
     closed = integrate_mst(inst, inst.weights).as_array()
     mean, se = mc_mean_and_se(mc_mst_samples(inst, inst.weights, 20_000, seed + 7))
     assert np.all(np.abs(closed - mean) <= 3 * se + 1e-9)
+
+
+@pytest.mark.parametrize("exponent", [-40, -60])
+def test_integrate_matches_monte_carlo_at_tiny_scales(exponent):
+    # merge levels of distinct rounded weights differ by a factor of two,
+    # so the Monte-Carlo oracle must tell them apart at any scale
+    scale = 2.0**exponent
+    inst = gen_random(GameKind.MIN_SPANNING_TREE, 5, 0.7, 10.0, 20003)
+    weights = tuple(w * scale for w in inst.weights)
+    closed = integrate_mst(inst, weights).as_array()
+    mean, se = mc_mean_and_se(mc_mst_samples(inst, weights, 20_000, 7))
+    assert np.all(np.abs(closed - mean) <= 3 * se + 1e-12 * scale)
 
 
 @pytest.mark.parametrize("seed", range(6))
