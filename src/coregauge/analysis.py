@@ -195,9 +195,12 @@ class LipschitzReport:
 
 
 def probe_deltas(w_e: float) -> list[float]:
-    """Perturbation sizes for one edge: w_e * 10^-k, or plain 10^-k at weight zero."""
+    """Perturbation sizes for one edge: w_e * 10^-k, or plain 10^-k at weight
+    zero. A size that underflows to 0, or that bumps the weight past the
+    float range, is left out."""
     if w_e > 0:
-        return [w_e * 10.0 ** -k for k in PROBE_EXPONENTS]
+        deltas = [w_e * 10.0 ** -k for k in PROBE_EXPONENTS]
+        return [d for d in deltas if d > 0 and math.isfinite(w_e + d)]
     return [10.0 ** -k for k in PROBE_EXPONENTS]
 
 

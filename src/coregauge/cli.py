@@ -2,8 +2,9 @@
 
 Every command prints a JSON payload on stdout and a short human summary
 on stderr. Exit codes: 0 success, 1 a verification report failed,
-2 malformed input or bad parameters. Payloads are deterministic: keys
-sorted, floats in shortest round-trip form.
+2 malformed input, bad parameters or a path that cannot be read or
+written. Payloads are deterministic: keys sorted, floats in shortest
+round-trip form.
 """
 
 from __future__ import annotations
@@ -12,8 +13,7 @@ import csv
 import json
 import math
 import sys
-from contextlib import contextmanager
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import click
 
@@ -51,7 +51,7 @@ def _emit(payload: dict, summary: str) -> None:
     try:
         text = json.dumps(payload, sort_keys=True, allow_nan=False)
     except ValueError:
-        raise _fail_input("a result exceeds the float range")
+        raise ValueError("a result exceeds the float range")
     click.echo(text, file=sys.stdout)
     click.echo(summary, file=sys.stderr)
 
@@ -59,16 +59,6 @@ def _emit(payload: dict, summary: str) -> None:
 def _fail_input(message: str) -> "click.exceptions.Exit":
     click.echo(f"error: {message}", file=sys.stderr)
     return click.exceptions.Exit(EXIT_INPUT_ERROR)
-
-
-@contextmanager
-def _input_errors(*errors: type[Exception]) -> Iterator[None]:
-    """Exit 2 with a message on a ValueError, the library's signal for bad
-    input or parameters, or on any of ``errors``."""
-    try:
-        yield
-    except (ValueError, *errors) as exc:
-        raise _fail_input(str(exc))
 
 
 def _write_csv(path: str, header: list[str], rows: Iterable[list]) -> None:
@@ -79,8 +69,7 @@ def _write_csv(path: str, header: list[str], rows: Iterable[list]) -> None:
 
 
 def _load_checked(path: str) -> GameInstance:
-    with _input_errors(OSError):
-        inst = load_instance(path)
+    inst = load_instance(path)
     result = validate_instance(inst)
     if not result.ok:
         violations = json.dumps({"violations": list(result.violations)}, sort_keys=True)
@@ -89,7 +78,23 @@ def _load_checked(path: str) -> GameInstance:
     return inst
 
 
-@click.group()
+class _Main(click.Group):
+    """Exit 2 with one stderr line on bad input in any command: a ValueError
+    (the library's signal for bad input), an OSError (a path that cannot be
+    read or written) or a RuntimeError (a failing allocator in
+    ``lipschitz_scan``). click's Exit and Abort are RuntimeErrors too, and
+    pass through like a closed stdout pipe, which click handles itself."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except (click.exceptions.Exit, click.exceptions.Abort, BrokenPipeError):
+            raise
+        except (ValueError, OSError, RuntimeError) as exc:
+            raise _fail_input(str(exc))
+
+
+@click.group(cls=_Main)
 @click.version_option(version=__version__, prog_name="coregauge")
 def main() -> None:
     """Approximate-core allocations for matching and spanning-tree games."""
@@ -97,30 +102,23 @@ def main() -> None:
 
 @main.command()
 @click.argument("instance_file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--game", type=click.Choice(["auto", "matching", "mst"]), default="auto")
 @click.option("--epsilon", type=float, default=None, help="Core slack for matching games; required there.")
 @click.option("--dump-tree", type=click.Path(dir_okay=False), default=None,
               help="Write the merge dendrogram (offset 0 rounding) to this file; spanning-tree games only.")
-def allocate(instance_file: str, game: str, epsilon: float | None, dump_tree: str | None) -> None:
+def allocate(instance_file: str, epsilon: float | None, dump_tree: str | None) -> None:
     """Compute the stable approximate-core allocation of an instance."""
     inst = _load_checked(instance_file)
-    if game != "auto" and game != inst.kind.value:
-        raise _fail_input(f"--game {game} does not match the instance kind {inst.kind.value!r}")
     if inst.kind is GameKind.MATCHING:
         if epsilon is None:
-            raise _fail_input("matching games require --epsilon")
-        if not 0.0 < epsilon <= 0.5:
-            raise _fail_input(f"epsilon must lie in (0, 1/2], got {epsilon}")
+            raise ValueError("matching games require --epsilon")
         if dump_tree is not None:
-            raise _fail_input("--dump-tree applies only to spanning-tree games")
-        with _input_errors():
-            x = matching_core_allocate(inst, inst.weights, epsilon)
+            raise ValueError("--dump-tree applies only to spanning-tree games")
+        x = matching_core_allocate(inst, inst.weights, epsilon)
         factor = matching_core_factor(epsilon)
         bound = matching_sensitivity_bound(epsilon)
     else:
-        with _input_errors():
-            x = mst_core_allocate(inst, inst.weights)
-            tree = offset_dendrogram(inst, inst.weights, 0.0) if dump_tree is not None else None
+        x = mst_core_allocate(inst, inst.weights)
+        tree = offset_dendrogram(inst, inst.weights, 0.0) if dump_tree is not None else None
         factor = MST_CORE_FACTOR
         bound = mst_sensitivity_bound()
         if tree is not None:
@@ -141,25 +139,25 @@ def _load_allocation(path: str, n: int) -> Allocation:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise _fail_input(f"{path}: {exc}")
+    except (OSError, ValueError) as exc:  # ValueError covers bad JSON and bad UTF-8
+        raise ValueError(f"{path}: {exc}")
     mapping = data.get("allocation", data) if isinstance(data, dict) else None
     if not isinstance(mapping, dict):
-        raise _fail_input(f"{path}: expected an object with per-agent values")
+        raise ValueError(f"{path}: expected an object with per-agent values")
     values: dict[int, float] = {}
     for key, val in mapping.items():
         try:
             v, x = int(key), float(val)
         except (TypeError, ValueError, OverflowError):
-            raise _fail_input(f"{path}: bad allocation entry {key!r}: {val!r}")
+            raise ValueError(f"{path}: bad allocation entry {key!r}: {val!r}")
         if not 0 <= v < n or v in values:
-            raise _fail_input(f"{path}: allocation key {key!r} is not a distinct agent id in 0..{n - 1}")
+            raise ValueError(f"{path}: allocation key {key!r} is not a distinct agent id in 0..{n - 1}")
         if not math.isfinite(x):
-            raise _fail_input(f"{path}: allocation value of agent {v} is not finite: {val!r}")
+            raise ValueError(f"{path}: allocation value of agent {v} is not finite: {val!r}")
         values[v] = x
     missing = [v for v in range(n) if v not in values]
     if missing:
-        raise _fail_input(f"{path}: no allocation value for agents {missing}")
+        raise ValueError(f"{path}: no allocation value for agents {missing}")
     return Allocation.of(values[v] for v in range(n))
 
 
@@ -173,10 +171,9 @@ def core_check_cmd(instance_file: str, allocation_file: str, alpha: float, csv_p
     """Check an allocation against every relaxed coalition constraint."""
     inst = _load_checked(instance_file)
     x = _load_allocation(allocation_file, inst.n)
-    with _input_errors():
-        # the size check comes first: char_table alone allows more agents
-        table = char_table(inst) if inst.n <= CORE_CHECK_MAX_AGENTS else None
-        report = core_check(inst, x, alpha, table=table)
+    # the size check comes first: char_table alone allows more agents
+    table = char_table(inst) if inst.n <= CORE_CHECK_MAX_AGENTS else None
+    report = core_check(inst, x, alpha, table=table)
     if csv_path:
         rows = iter_core_rows(table, x, alpha)
         _write_csv(csv_path, ["subset", "value", "allocated", "slack"],
@@ -199,11 +196,10 @@ def core_check_cmd(instance_file: str, allocation_file: str, alpha: float, csv_p
 def shapley_cmd(instance_file: str, method: str, samples: int, seed: int) -> None:
     """Exact or sampled Shapley values of an instance."""
     inst = _load_checked(instance_file)
-    with _input_errors():
-        if method == "exact":
-            result = shapley_exact(inst)
-        else:
-            result = shapley_sample(inst, samples, seed)
+    if method == "exact":
+        result = shapley_exact(inst)
+    else:
+        result = shapley_sample(inst, samples, seed)
     payload = {
         "values": {str(v): result.values[v] for v in range(inst.n)},
         "method": result.method.value,
@@ -232,9 +228,8 @@ def lipschitz_cmd(
 ) -> None:
     """Probe an allocator with single-edge weight bumps."""
     inst = _load_checked(instance_file)
-    with _input_errors(RuntimeError):
-        fn = named_allocator(allocator, epsilon=epsilon, base=base)
-        report = lipschitz_scan(fn, inst, bound, name=allocator)
+    fn = named_allocator(allocator, epsilon=epsilon, base=base)
+    report = lipschitz_scan(fn, inst, bound, name=allocator)
     if csv_path:
         _write_csv(csv_path, ["edge_id", "w_e", "delta", "ratio"],
                    ([r.edge_id, repr(r.weight), repr(r.delta), repr(r.ratio)] for r in report.rows))
@@ -257,9 +252,7 @@ def gen() -> None:
 @click.option("-o", "--out", type=click.Path(dir_okay=False), required=True)
 def gen_path(n: int, out: str) -> None:
     """Uniform-weight path (matching game)."""
-    with _input_errors():
-        inst = gen_path_uniform(n)
-    dump_instance(inst, out)
+    dump_instance(gen_path_uniform(n), out)
     _emit({"written": [out]}, f"wrote path n={n} to {out}")
 
 
@@ -269,8 +262,7 @@ def gen_path(n: int, out: str) -> None:
 @click.option("--out-second", type=click.Path(dir_okay=False), required=True)
 def gen_zero_ends(n: int, out: str, out_second: str) -> None:
     """Uniform path and its copy with both end edges zeroed."""
-    with _input_errors():
-        first, second = gen_path_pair_zero_ends(n)
+    first, second = gen_path_pair_zero_ends(n)
     dump_instance(first, out)
     dump_instance(second, out_second)
     _emit({"written": [out, out_second]}, f"wrote zero-ends pair n={n}")
@@ -283,8 +275,7 @@ def gen_zero_ends(n: int, out: str, out_second: str) -> None:
 @click.option("--out-second", type=click.Path(dir_okay=False), required=True)
 def gen_bump(n: int, delta: float, out: str, out_second: str) -> None:
     """Uniform path and its copy with the second edge raised by delta."""
-    with _input_errors():
-        first, second = gen_path_pair_bumped(n, delta)
+    first, second = gen_path_pair_bumped(n, delta)
     dump_instance(first, out)
     dump_instance(second, out_second)
     _emit({"written": [out, out_second]}, f"wrote bumped pair n={n} delta={delta}")
@@ -299,9 +290,7 @@ def gen_bump(n: int, delta: float, out: str, out_second: str) -> None:
 @click.option("-o", "--out", type=click.Path(dir_okay=False), required=True)
 def gen_random_cmd(kind: str, n: int, edge_prob: float, w_max: float, seed: int, out: str) -> None:
     """Seeded random instance."""
-    with _input_errors():
-        inst = gen_random(GameKind(kind), n, edge_prob, w_max, seed)
-    dump_instance(inst, out)
+    dump_instance(gen_random(GameKind(kind), n, edge_prob, w_max, seed), out)
     _emit({"written": [out]}, f"wrote random {kind} n={n} seed={seed} to {out}")
 
 

@@ -170,13 +170,6 @@ def connector_sum(tree: AuxiliaryTree, S: Sequence[int] | set[int]) -> float:
     return total
 
 
-def _rounded_at(weights: Sequence[float], b: float) -> tuple[float, ...]:
-    try:
-        return round_weights_mst(weights, b).rounded
-    except OverflowError:
-        raise ValueError("a rounded weight exceeds the float range") from None
-
-
 def offset_dendrogram(inst: GameInstance, weights: Sequence[float], b: float) -> AuxiliaryTree:
     """Merge dendrogram of ``weights`` rounded at offset ``b``.
 
@@ -187,13 +180,13 @@ def offset_dendrogram(inst: GameInstance, weights: Sequence[float], b: float) ->
     """
     exact = auxiliary_tree(inst, weights)
     top = exact.nodes[exact.top].height
-    return auxiliary_tree(inst, _rounded_at([min(w, top) for w in weights], b))
+    return auxiliary_tree(inst, round_weights_mst([min(w, top) for w in weights], b).rounded)
 
 
 def mst_allocate(inst: GameInstance, weights: Sequence[float], b: float) -> Allocation:
     """Fixed-offset cost shares: the exact dendrogram's heights rounded at ``b``."""
     tree = auxiliary_tree(inst, weights)
-    return Allocation.of(_shares(tree, _rounded_at(_heights(tree), b), inst.n))
+    return Allocation.of(_shares(tree, round_weights_mst(_heights(tree), b).rounded, inst.n))
 
 
 def _tree_integral(tree: AuxiliaryTree, heights: Sequence[float], n: int) -> Allocation:

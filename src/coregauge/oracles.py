@@ -47,7 +47,10 @@ def coalition_values(inst: GameInstance, weights: Sequence) -> list:
     Matching games run one subset DP: the lowest agent of a mask is
     either unmatched or matched to a neighbour inside the mask. Tree
     games run Kruskal once per mask over one presorted edge order.
+    Refuses more than CHAR_TABLE_MAX_AGENTS agents.
     """
+    if inst.n > CHAR_TABLE_MAX_AGENTS:
+        raise ValueError(f"coalition enumeration is limited to {CHAR_TABLE_MAX_AGENTS} agents, got {inst.n}")
     size = 1 << inst.n
     values: list = [0] * size
     if inst.kind is GameKind.MATCHING:
@@ -78,7 +81,8 @@ def max_weight_matching(inst: GameInstance, S: Iterable[int]) -> float:
     """Exact maximum matching weight of the subgraph induced by S.
 
     Runs the subset DP of ``coalition_values`` on G[S] renumbered
-    0..|S|-1, so the work is 2^|S|, not 2^n.
+    0..|S|-1, so the work is 2^|S|, not 2^n, and the agent limit of
+    ``coalition_values`` applies to |S|.
     """
     if inst.kind is not GameKind.MATCHING:
         raise ValueError("max_weight_matching requires a matching game")
@@ -190,9 +194,7 @@ class CharTable:
 
 
 def char_table(inst: GameInstance) -> CharTable:
-    """All 2^n coalition values; refuses instances with more than 20 agents."""
-    if inst.n > CHAR_TABLE_MAX_AGENTS:
-        raise ValueError(f"coalition enumeration is limited to {CHAR_TABLE_MAX_AGENTS} agents, got {inst.n}")
+    """All 2^n coalition values, within the agent limit of ``coalition_values``."""
     return CharTable(inst, [float(v) for v in coalition_values(inst, inst.weights)])
 
 

@@ -20,6 +20,8 @@ BREAKPOINT_TOL = 1e-12
 # Rounding up and summing weights of at most 2**1000 stays finite.
 WEIGHT_CAP_EXPONENT = 1000
 
+_BEYOND_FLOAT_RANGE = "a rounded weight exceeds the float range"
+
 
 def rounding_exponent(w: float, b: float, base: float) -> int:
     """The unique integer i with base**(i+b) <= w < base**(i+1+b)."""
@@ -87,7 +89,10 @@ class RoundingSchedule:
             if w == 0:
                 exponents.append(None)
                 continue
-            i = rounding_exponent(w, 0.0, base)
+            try:
+                i = rounding_exponent(w, 0.0, base)
+            except OverflowError:
+                raise ValueError(_BEYOND_FLOAT_RANGE) from None
             exponents.append(i)
             frac = math.log(w, base) - i
             if BREAKPOINT_TOL < frac < 1.0 - BREAKPOINT_TOL:
@@ -104,7 +109,10 @@ class RoundingSchedule:
         if not 0.0 <= b <= 1.0:
             raise ValueError(f"offset must lie in [0, 1], got {b}")
         starts = {i for i in self.start_exponents if i is not None}
-        levels = {k: self.base ** (k + b) for i in starts for k in (i, i + 1)}
+        try:
+            levels = {k: self.base ** (k + b) for i in starts for k in (i, i + 1)}
+        except OverflowError:
+            raise ValueError(_BEYOND_FLOAT_RANGE) from None
         exponents = tuple(
             i if i is None or levels[i] <= w else i - 1
             for w, i in zip(self.weights, self.start_exponents)

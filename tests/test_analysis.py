@@ -181,6 +181,10 @@ def test_core_selection_jump_ratio(n):
 def test_probe_deltas_rule():
     assert probe_deltas(2.0) == [2.0, 0.2, 0.02, 0.002]
     assert probe_deltas(0.0) == [1.0, 0.1, 0.01, 0.001]
+    assert probe_deltas(5e-324) == [5e-324]  # the smaller sizes underflow to 0
+    assert probe_deltas(1e308) == [1e308 * 10.0**-k for k in (1, 2, 3)]  # 2e308 is past the range
+    assert probe_deltas(5e-321) == [5e-321 * 10.0**-k for k in range(4)]
+    assert probe_deltas(8.9e307) == [8.9e307 * 10.0**-k for k in range(4)]
 
 
 def test_lipschitz_scan_raw_matching_bound():

@@ -2,8 +2,10 @@ import gc
 import io
 import json
 import math
+import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -87,12 +89,6 @@ def test_allocate_requires_epsilon_for_matching(runner, tmp_path):
 def test_allocate_rejects_out_of_range_epsilon(runner, tmp_path):
     path = write_single_edge(tmp_path)
     result = runner.invoke(main, ["allocate", str(path), "--epsilon", "0.9"])
-    assert result.exit_code == 2
-
-
-def test_allocate_rejects_mismatched_game_flag(runner, tmp_path):
-    path = write_single_edge(tmp_path)
-    result = runner.invoke(main, ["allocate", str(path), "--game", "mst"])
     assert result.exit_code == 2
 
 
@@ -355,6 +351,77 @@ def test_core_check_rejects_bad_allocation_entries(runner, tmp_path, allocation,
     alloc_path.write_text(json.dumps({"allocation": allocation}))
     result = runner.invoke(main, ["core-check", str(path), str(alloc_path), "--alpha", "0.25"])
     expect_input_error(result, needle)
+
+
+@pytest.mark.parametrize(
+    "args,needle",
+    [
+        (["gen", "path", "--n", "3", "-o", "missing/a.json"], "missing"),
+        (["gen", "path-zero-ends", "--n", "5", "-o", "a.json", "--out-second", "missing/b.json"], "missing"),
+        (["gen", "path-bump", "--n", "5", "--delta", "0.1", "-o", "missing/a.json", "--out-second", "b.json"],
+         "missing"),
+        (["gen", "random", "--kind", "mst", "--n", "3", "--seed", "1", "-o", "missing/a.json"], "missing"),
+        (["allocate", "mst3.json", "--dump-tree", "missing/tree.json"], "missing"),
+        (["core-check", "mst3.json", "alloc.json", "--alpha", "4", "--csv", "missing/rows.csv"], "missing"),
+        (["lipschitz", "mst3.json", "--allocator", "mst-core", "--bound", "30", "--csv", "missing/probes.csv"],
+         "missing"),
+        (["core-check", "mst3.json", "latin1.json", "--alpha", "4"], "latin1.json"),
+    ],
+    ids=["gen-path", "gen-zero-ends", "gen-bump", "gen-random", "dump-tree", "core-check-csv",
+         "lipschitz-csv", "non-utf8-allocation"],
+)
+def test_unwritable_outputs_and_unreadable_allocations_exit_two(runner, tmp_path, args, needle):
+    write_mst3(tmp_path)
+    (tmp_path / "alloc.json").write_text(json.dumps({"0": 1.0, "1": 2.0}))
+    (tmp_path / "latin1.json").write_bytes(b"\xff\xfe{")
+    args = [str(tmp_path / a) if a.endswith((".json", ".csv")) else a for a in args]
+    result = runner.invoke(main, args)
+    expect_input_error(result, str(tmp_path / needle))
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.startswith("error: ")
+
+
+ONE_EDGE_OF_100 = matching_instance(100, [(0, 1, 1.0)])
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["allocate", "--epsilon", "0.25"], ["shapley", "--method", "sample", "--samples", "1"]],
+    ids=["allocate", "shapley-sample"],
+)
+def test_coalition_enumeration_past_twenty_agents_exits_two(runner, tmp_path, args):
+    path = tmp_path / "wide.json"
+    dump_instance(ONE_EDGE_OF_100, str(path))
+    start = time.perf_counter()
+    result = runner.invoke(main, [args[0], str(path), *args[1:]])
+    assert time.perf_counter() - start < 20.0
+    expect_input_error(result, "limited to 20 agents")
+    assert len(result.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("weight", [5e-324, 1e308], ids=["subnormal", "huge"])
+def test_lipschitz_probes_the_smallest_and_largest_weights(runner, tmp_path, weight):
+    path = tmp_path / "edge.json"
+    dump_instance(mst_instance(1, [(ROOT, 0, weight)]), str(path))
+    result = invoke(runner, ["lipschitz", str(path), "--allocator", "mst-core", "--bound", "30"])
+    assert result.exit_code == 0
+    payload = payload_of(result)
+    assert payload["pass"] is True
+    assert payload["probes"] and all(p["delta"] > 0 for p in payload["probes"])
+
+
+def test_a_closed_stdout_pipe_is_not_reported_as_bad_input(tmp_path):
+    path = write_mst3(tmp_path)
+    src = Path(coregauge.__file__).resolve().parents[1]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        out = subprocess.run([sys.executable, "-m", "coregauge.cli", "allocate", str(path)], cwd=src,
+                             stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert out.returncode == 1  # click's own exit code for a broken pipe
+    assert "error:" not in out.stderr
 
 
 def test_in_process_runs_release_their_streams(runner, tmp_path):

@@ -54,6 +54,20 @@ def test_rounding_rejects_bad_base():
         round_weights_matching([1.0], 0.0, 1.0)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: round_weights_matching([1.7e308], 0.0, 1.5),
+        lambda: integrate_matching(matching_instance(2, [(0, 1, 1.7e308)]), [1.7e308], 1.5),
+        lambda: differing_offset_measure(1.7e308, 1.0, 1.5),
+    ],
+    ids=["round_weights", "integrate_matching", "differing_offset_measure"],
+)
+def test_rounding_past_the_float_range_raises_value_error(call):
+    with pytest.raises(ValueError, match="float range"):
+        call()
+
+
 def test_greedy_hand_run_examples():
     trace = greedy_allocate(PATH3, PATH3.weights, 0.0, 2.0)
     assert trace.matching == (0,)

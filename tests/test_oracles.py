@@ -84,6 +84,15 @@ def test_char_table_refuses_oversized_instances():
         char_table(big)
 
 
+def test_matching_oracles_enumerate_at_most_twenty_agents():
+    wide = matching_instance(100, [(0, 1, 1.0)])
+    with pytest.raises(ValueError, match="limited to 20 agents"):
+        max_weight_matching(wide, range(100))
+    with pytest.raises(ValueError, match="limited to 20 agents"):
+        max_weight_matching(wide, range(21))
+    assert max_weight_matching(wide, [0, 1]) == 1.0
+
+
 def test_mask_round_trip():
     assert agents_of(mask_of([0, 3, 5])) == (0, 3, 5)
     assert mask_of(agents_of(0b1011)) == 0b1011
