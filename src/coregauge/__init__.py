@@ -7,7 +7,6 @@ from .games import (
     Edge,
     GameInstance,
     GameKind,
-    ValidationResult,
     dump_instance,
     instance_from_dict,
     instance_to_dict,
@@ -29,7 +28,6 @@ from .oracles import (
     spanning_edges,
 )
 from .rounding import (
-    BreakpointDecomposition,
     RoundedWeights,
     RoundingSchedule,
     breakpoints,
@@ -61,8 +59,6 @@ from .mst import (
     round_weights_mst,
 )
 from .shapley import (
-    ShapleyMethod,
-    ShapleyResult,
     matching_lower_bound_value,
     shapley_exact,
     shapley_sample,

@@ -2,9 +2,9 @@
 
 Every command prints a JSON payload on stdout and a short human summary
 on stderr. Exit codes: 0 success, 1 a verification report failed,
-2 malformed input, bad parameters or a path that cannot be read or
-written. Payloads are deterministic: keys sorted, floats in shortest
-round-trip form.
+2 malformed input, bad parameters, an input too large for memory or a
+path that cannot be read or written. Payloads are deterministic: keys
+sorted, floats in shortest round-trip form.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import sys
 from typing import Iterable
 
@@ -30,6 +31,7 @@ from .games import (
     Allocation,
     GameInstance,
     GameKind,
+    _json,
     dump_instance,
     load_instance,
     validate_instance,
@@ -70,20 +72,20 @@ def _write_csv(path: str, header: list[str], rows: Iterable[list]) -> None:
 
 def _load_checked(path: str) -> GameInstance:
     inst = load_instance(path)
-    result = validate_instance(inst)
-    if not result.ok:
-        violations = json.dumps({"violations": list(result.violations)}, sort_keys=True)
-        click.echo(violations, file=sys.stdout)
-        raise _fail_input(f"{path}: invalid instance: " + "; ".join(result.violations))
+    violations = validate_instance(inst)
+    if violations:
+        click.echo(json.dumps({"violations": list(violations)}, sort_keys=True), file=sys.stdout)
+        raise _fail_input(f"{path}: invalid instance: " + "; ".join(violations))
     return inst
 
 
 class _Main(click.Group):
     """Exit 2 with one stderr line on bad input in any command: a ValueError
     (the library's signal for bad input), an OSError (a path that cannot be
-    read or written) or a RuntimeError (a failing allocator in
-    ``lipschitz_scan``). click's Exit and Abort are RuntimeErrors too, and
-    pass through like a closed stdout pipe, which click handles itself."""
+    read or written), a RuntimeError (a failing allocator in
+    ``lipschitz_scan``) or a MemoryError (an input too large to hold).
+    click's Exit and Abort are RuntimeErrors too, and pass through like a
+    closed stdout pipe, which click handles itself."""
 
     def invoke(self, ctx: click.Context):
         try:
@@ -92,6 +94,8 @@ class _Main(click.Group):
             raise
         except (ValueError, OSError, RuntimeError) as exc:
             raise _fail_input(str(exc))
+        except MemoryError as exc:  # Python's own carries no message
+            raise _fail_input(str(exc) or "the input is too large for the available memory")
 
 
 @click.group(cls=_Main)
@@ -147,10 +151,10 @@ def _load_allocation(path: str, n: int) -> Allocation:
     values: dict[int, float] = {}
     for key, val in mapping.items():
         try:
-            v, x = int(key), float(val)
+            v, x = int(key), float(_json(val, (int, float), "a number"))
         except (TypeError, ValueError, OverflowError):
             raise ValueError(f"{path}: bad allocation entry {key!r}: {val!r}")
-        if not 0 <= v < n or v in values:
+        if key != str(v) or not 0 <= v < n or v in values:
             raise ValueError(f"{path}: allocation key {key!r} is not a distinct agent id in 0..{n - 1}")
         if not math.isfinite(x):
             raise ValueError(f"{path}: allocation value of agent {v} is not finite: {val!r}")
@@ -170,9 +174,11 @@ def _load_allocation(path: str, n: int) -> Allocation:
 def core_check_cmd(instance_file: str, allocation_file: str, alpha: float, csv_path: str | None) -> None:
     """Check an allocation against every relaxed coalition constraint."""
     inst = _load_checked(instance_file)
+    # refused before the allocation file is read, which lists every agent missing from it
+    if inst.n > CORE_CHECK_MAX_AGENTS:
+        raise ValueError(f"core_check is limited to {CORE_CHECK_MAX_AGENTS} agents, got {inst.n}")
     x = _load_allocation(allocation_file, inst.n)
-    # the size check comes first: char_table alone allows more agents
-    table = char_table(inst) if inst.n <= CORE_CHECK_MAX_AGENTS else None
+    table = char_table(inst)
     report = core_check(inst, x, alpha, table=table)
     if csv_path:
         rows = iter_core_rows(table, x, alpha)
@@ -197,17 +203,17 @@ def shapley_cmd(instance_file: str, method: str, samples: int, seed: int) -> Non
     """Exact or sampled Shapley values of an instance."""
     inst = _load_checked(instance_file)
     if method == "exact":
-        result = shapley_exact(inst)
+        x, samples, seed = shapley_exact(inst), None, None
     else:
-        result = shapley_sample(inst, samples, seed)
+        x = shapley_sample(inst, samples, seed)
     payload = {
-        "values": {str(v): result.values[v] for v in range(inst.n)},
-        "method": result.method.value,
-        "samples": result.samples,
-        "seed": result.seed,
-        "total": result.total(),
+        "values": {str(v): x.values[v] for v in range(inst.n)},
+        "method": method,
+        "samples": samples,
+        "seed": seed,
+        "total": x.total(),
     }
-    _emit(payload, f"shapley ({result.method.value}) total {result.total():.6g}")
+    _emit(payload, f"shapley ({method}) total {x.total():.6g}")
 
 
 @main.command("lipschitz")
@@ -256,16 +262,26 @@ def gen_path(n: int, out: str) -> None:
     _emit({"written": [out]}, f"wrote path n={n} to {out}")
 
 
+def _dump_pair(pair: tuple[GameInstance, GameInstance], out: str, out_second: str, summary: str) -> None:
+    """Write both instances of a pair or neither: when the second file
+    cannot be written, the first one, just written, is removed."""
+    first, second = pair
+    dump_instance(first, out)
+    try:
+        dump_instance(second, out_second)
+    except OSError:
+        os.remove(out)
+        raise
+    _emit({"written": [out, out_second]}, summary)
+
+
 @gen.command("path-zero-ends")
 @click.option("--n", type=int, required=True)
 @click.option("-o", "--out", type=click.Path(dir_okay=False), required=True)
 @click.option("--out-second", type=click.Path(dir_okay=False), required=True)
 def gen_zero_ends(n: int, out: str, out_second: str) -> None:
     """Uniform path and its copy with both end edges zeroed."""
-    first, second = gen_path_pair_zero_ends(n)
-    dump_instance(first, out)
-    dump_instance(second, out_second)
-    _emit({"written": [out, out_second]}, f"wrote zero-ends pair n={n}")
+    _dump_pair(gen_path_pair_zero_ends(n), out, out_second, f"wrote zero-ends pair n={n}")
 
 
 @gen.command("path-bump")
@@ -275,10 +291,7 @@ def gen_zero_ends(n: int, out: str, out_second: str) -> None:
 @click.option("--out-second", type=click.Path(dir_okay=False), required=True)
 def gen_bump(n: int, delta: float, out: str, out_second: str) -> None:
     """Uniform path and its copy with the second edge raised by delta."""
-    first, second = gen_path_pair_bumped(n, delta)
-    dump_instance(first, out)
-    dump_instance(second, out_second)
-    _emit({"written": [out, out_second]}, f"wrote bumped pair n={n} delta={delta}")
+    _dump_pair(gen_path_pair_bumped(n, delta), out, out_second, f"wrote bumped pair n={n} delta={delta}")
 
 
 @gen.command("random")

@@ -56,10 +56,6 @@ class GameInstance:
     def m(self) -> int:
         return len(self.edges)
 
-    @property
-    def agents(self) -> range:
-        return range(self.n)
-
     def with_weights(self, weights: Sequence[float]) -> "GameInstance":
         """Copy of this instance with a replaced weight vector."""
         if len(weights) != self.m:
@@ -85,7 +81,7 @@ class Allocation:
     def __post_init__(self) -> None:
         for i, x in enumerate(self.values):
             if not math.isfinite(x):
-                raise ValueError(f"allocation value for agent {i} is not finite: {x}")
+                raise ValueError(f"allocation value for agent {i} is not a number within the float range: {x}")
 
     @classmethod
     def of(cls, values: Iterable[float]) -> "Allocation":
@@ -104,14 +100,9 @@ class Allocation:
         return np.asarray(self.values, dtype=float)
 
 
-@dataclass(frozen=True)
-class ValidationResult:
-    ok: bool
-    violations: tuple[str, ...]
-
-
-def validate_instance(inst: GameInstance) -> ValidationResult:
-    """Check every structural invariant; violations are data, not errors."""
+def validate_instance(inst: GameInstance) -> tuple[str, ...]:
+    """Check every structural invariant; the violations are returned as
+    data, not raised, and there are none exactly when the instance is valid."""
     bad: list[str] = []
     is_mst = inst.kind is GameKind.MIN_SPANNING_TREE
     if inst.n < 0:
@@ -140,10 +131,10 @@ def validate_instance(inst: GameInstance) -> ValidationResult:
         if is_mst and ROOT in (e.u, e.v):
             root_adjacent.add(e.u if e.v == ROOT else e.v)
     if is_mst:
-        for v in inst.agents:
+        for v in range(inst.n):
             if v not in root_adjacent:
                 bad.append(f"agent {v} is not adjacent to the root")
-    return ValidationResult(ok=not bad, violations=tuple(bad))
+    return tuple(bad)
 
 
 def l1_distance(a: Allocation | Sequence[float], b: Allocation | Sequence[float]) -> float:

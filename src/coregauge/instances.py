@@ -10,9 +10,9 @@ from .games import ROOT, Edge, GameInstance, GameKind, validate_instance
 
 
 def _checked(inst: GameInstance) -> GameInstance:
-    result = validate_instance(inst)
-    if not result.ok:
-        raise AssertionError(f"generator produced an invalid instance: {result.violations}")
+    violations = validate_instance(inst)
+    if violations:
+        raise AssertionError(f"generator produced an invalid instance: {violations}")
     return inst
 
 

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .games import Allocation, GameInstance, GameKind
-from .oracles import max_weight_matching
-from .rounding import RoundingSchedule, offset_average, round_weights, within_rounding_range
+from .oracles import coalition_values
+from .rounding import breakpoints, offset_average, round_weights, within_rounding_range
 
 
 def _require_matching(inst: GameInstance) -> None:
@@ -73,8 +73,7 @@ def integrate_matching(
     interval midpoint integrates in closed form.
     """
     _require_matching(inst)
-    schedule = RoundingSchedule.of(weights, base)
-    return offset_average(schedule, lambda rounded: _greedy(inst, rounded).raw)
+    return offset_average(breakpoints(weights, base), lambda rounded: _greedy(inst, rounded).raw)
 
 
 def normalize_welfare(raw: Allocation, grand: float) -> Allocation:
@@ -101,9 +100,8 @@ def matching_core_allocate(
     _require_matching(inst)
     if not 0.0 < epsilon <= 0.5:
         raise ValueError(f"epsilon must lie in (0, 1/2], got {epsilon}")
-    base = 1.0 + 2.0 * epsilon
-    raw = integrate_matching(inst, within_rounding_range(weights), base)
-    grand = max_weight_matching(inst.with_weights(weights), range(inst.n))
+    grand = float(coalition_values(inst, weights)[-1])  # refuses large n before the integral runs
+    raw = integrate_matching(inst, within_rounding_range(weights), 1.0 + 2.0 * epsilon)
     return normalize_welfare(raw, grand)
 
 

@@ -24,10 +24,11 @@ from .games import ROOT, Allocation, GameInstance, GameKind
 from .matching import normalize_welfare
 from .oracles import _slots, _UnionFind, mask_of
 from .rounding import (
-    BreakpointDecomposition,
     RoundedWeights,
     RoundingSchedule,
+    breakpoints,
     offset_average,
+    round_weights,
     within_rounding_range,
 )
 
@@ -41,11 +42,11 @@ def _require_mst(inst: GameInstance) -> None:
 
 def round_weights_mst(weights: Sequence[float], b: float) -> RoundedWeights:
     """Geometric rounding with the base fixed at 2."""
-    return RoundingSchedule.of(weights, MST_BASE).at(b)
+    return round_weights(weights, b, MST_BASE)
 
 
-def breakpoints_mst(weights: Sequence[float]) -> BreakpointDecomposition:
-    return RoundingSchedule.of(weights, MST_BASE).decomposition
+def breakpoints_mst(weights: Sequence[float]) -> RoundingSchedule:
+    return breakpoints(weights, MST_BASE)
 
 
 @dataclass(frozen=True)
@@ -190,7 +191,7 @@ def mst_allocate(inst: GameInstance, weights: Sequence[float], b: float) -> Allo
 
 
 def _tree_integral(tree: AuxiliaryTree, heights: Sequence[float], n: int) -> Allocation:
-    return offset_average(RoundingSchedule.of(heights, MST_BASE), lambda r: _shares(tree, r, n))
+    return offset_average(breakpoints(heights, MST_BASE), lambda r: _shares(tree, r, n))
 
 
 def integrate_mst(inst: GameInstance, weights: Sequence[float]) -> Allocation:

@@ -86,11 +86,11 @@ def max_weight_matching(inst: GameInstance, S: Iterable[int]) -> float:
     """
     if inst.kind is not GameKind.MATCHING:
         raise ValueError("max_weight_matching requires a matching game")
+    if isinstance(S, range) and S == range(inst.n):  # the grand coalition: no set of n agents
+        return float(coalition_values(inst, inst.weights)[-1])
     members = sorted(set(S))
     if any(not 0 <= v < inst.n for v in members):
         raise ValueError(f"subset {members} contains non-agent ids")
-    if len(members) == inst.n:  # the grand coalition needs no renumbering
-        return float(coalition_values(inst, inst.weights)[-1])
     local = {v: i for i, v in enumerate(members)}
     kept = [e for e in inst.edges if e.u in local and e.v in local]
     edges = tuple(Edge(i, local[e.u], local[e.v]) for i, e in enumerate(kept))

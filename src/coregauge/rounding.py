@@ -47,10 +47,20 @@ class RoundedWeights:
 
 
 @dataclass(frozen=True)
-class BreakpointDecomposition:
-    """Sorted offsets 0 = t_0 < ... < t_{k+1} = 1 between which every
-    rounding exponent is constant in b."""
+class RoundingSchedule:
+    """The rounding of one weight vector at every offset in [0, 1].
 
+    ``points`` are the sorted offsets 0 = t_0 < ... < t_{k+1} = 1 between
+    which every rounding exponent is constant in b. Each positive
+    weight's exponent i at offset 0 is kept; at offset b the exponent
+    stays i while base**(i + b) <= w and is i - 1 after, so rounding at
+    any offset costs one comparison per edge against a power computed
+    once per level.
+    """
+
+    base: float
+    weights: tuple[float, ...]
+    start_exponents: tuple[int | None, ...]
     points: tuple[float, ...]
 
     def intervals(self) -> list[tuple[float, float]]:
@@ -58,51 +68,6 @@ class BreakpointDecomposition:
 
     def midpoints(self) -> list[float]:
         return [(lo + hi) / 2.0 for lo, hi in self.intervals()]
-
-
-@dataclass(frozen=True)
-class RoundingSchedule:
-    """The rounding of one weight vector at every offset in [0, 1].
-
-    Each positive weight's exponent i at offset 0 and the fractional part
-    of its log are computed once. At offset b the exponent stays i while
-    base**(i + b) <= w and is i - 1 after, so rounding at any offset costs
-    one comparison per edge against a power computed once per level.
-    """
-
-    base: float
-    weights: tuple[float, ...]
-    start_exponents: tuple[int | None, ...]
-    decomposition: BreakpointDecomposition
-
-    @classmethod
-    def of(cls, weights: Sequence[float], base: float) -> "RoundingSchedule":
-        """Exponents and breakpoints of ``weights``; fractional logs within
-        BREAKPOINT_TOL of each other or of the endpoints are merged."""
-        if not 1.0 < base <= 2.0:
-            raise ValueError(f"base must lie in (1, 2], got {base}")
-        exponents: list[int | None] = []
-        interior = set()
-        for w in weights:
-            if w < 0:
-                raise ValueError(f"negative weight {w}")
-            if w == 0:
-                exponents.append(None)
-                continue
-            try:
-                i = rounding_exponent(w, 0.0, base)
-            except OverflowError:
-                raise ValueError(_BEYOND_FLOAT_RANGE) from None
-            exponents.append(i)
-            frac = math.log(w, base) - i
-            if BREAKPOINT_TOL < frac < 1.0 - BREAKPOINT_TOL:
-                interior.add(frac)
-        points = [0.0]
-        for t in sorted(interior):
-            if t - points[-1] > BREAKPOINT_TOL:
-                points.append(t)
-        points.append(1.0)  # interior points lie below 1 - BREAKPOINT_TOL
-        return cls(base, tuple(weights), tuple(exponents), BreakpointDecomposition(tuple(points)))
 
     def at(self, b: float) -> RoundedWeights:
         """Exponents and rounded weights at offset ``b``."""
@@ -121,15 +86,40 @@ class RoundingSchedule:
         return RoundedWeights(exponents, rounded)
 
 
+def breakpoints(weights: Sequence[float], base: float) -> RoundingSchedule:
+    """The rounding schedule of ``weights``: the offsets at which some
+    edge's rounding exponent changes, and each exponent at offset 0.
+    Zero weights contribute no breakpoint; fractional logs within
+    BREAKPOINT_TOL of each other or of the endpoints are merged."""
+    if not 1.0 < base <= 2.0:
+        raise ValueError(f"base must lie in (1, 2], got {base}")
+    exponents: list[int | None] = []
+    interior = set()
+    for w in weights:
+        if w < 0:
+            raise ValueError(f"negative weight {w}")
+        if w == 0:
+            exponents.append(None)
+            continue
+        try:
+            i = rounding_exponent(w, 0.0, base)
+        except OverflowError:
+            raise ValueError(_BEYOND_FLOAT_RANGE) from None
+        exponents.append(i)
+        frac = math.log(w, base) - i
+        if BREAKPOINT_TOL < frac < 1.0 - BREAKPOINT_TOL:
+            interior.add(frac)
+    points = [0.0]
+    for t in sorted(interior):
+        if t - points[-1] > BREAKPOINT_TOL:
+            points.append(t)
+    points.append(1.0)  # interior points lie below 1 - BREAKPOINT_TOL
+    return RoundingSchedule(base, tuple(weights), tuple(exponents), tuple(points))
+
+
 def round_weights(weights: Sequence[float], b: float, base: float) -> RoundedWeights:
     """Snap each positive weight up to the next base**(i+1+b) level."""
-    return RoundingSchedule.of(weights, base).at(b)
-
-
-def breakpoints(weights: Sequence[float], base: float) -> BreakpointDecomposition:
-    """Offsets at which some edge's rounding exponent changes; zero weights
-    contribute nothing."""
-    return RoundingSchedule.of(weights, base).decomposition
+    return breakpoints(weights, base).at(b)
 
 
 def offset_average(
@@ -145,7 +135,7 @@ def offset_average(
     base = schedule.base
     log_base = math.log(base)
     total: list[float] = []
-    for lo, hi in schedule.decomposition.intervals():
+    for lo, hi in schedule.intervals():
         mid = (lo + hi) / 2.0
         factor = (base ** (hi - mid) - base ** (lo - mid)) / log_base
         part = [x * factor for x in rule(schedule.at(mid).rounded)]
@@ -171,12 +161,12 @@ def within_rounding_range(weights: Sequence[float]) -> Sequence[float]:
 def differing_offset_measure(w_before: float, w_after: float, base: float) -> float:
     """Total length of offsets b at which the two weights round differently.
 
-    Computed from the common breakpoint decomposition of both weights by
+    Computed from the common rounding schedule of both weights by
     comparing their exponents at each sub-interval midpoint.
     """
-    schedule = RoundingSchedule.of((w_before, w_after), base)
+    schedule = breakpoints((w_before, w_after), base)
     total = 0.0
-    for lo, hi in schedule.decomposition.intervals():
+    for lo, hi in schedule.intervals():
         first, second = schedule.at((lo + hi) / 2.0).exponents
         if first != second:
             total += hi - lo

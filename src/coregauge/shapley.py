@@ -10,39 +10,21 @@ cross-check of the exact method.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from enum import Enum
 
-from .games import GameInstance
+from .games import Allocation, GameInstance
 from .oracles import char_table, char_value, agents_of
 
 SHAPLEY_EXACT_MAX_AGENTS = 14
 
 
-class ShapleyMethod(Enum):
-    EXACT_SUBSET_SUM = "exact"
-    PERMUTATION_SAMPLE = "sample"
-
-
-@dataclass(frozen=True)
-class ShapleyResult:
-    values: tuple[float, ...]
-    method: ShapleyMethod
-    samples: int | None = None
-    seed: int | None = None
-
-    def total(self) -> float:
-        return math.fsum(self.values)
-
-
-def shapley_exact(inst: GameInstance) -> ShapleyResult:
+def shapley_exact(inst: GameInstance) -> Allocation:
     """Exact Shapley value via the subset sum
     sum_S |S|! (n-1-|S|)! / n! * (value(S + v) - value(S))."""
     n = inst.n
     if n > SHAPLEY_EXACT_MAX_AGENTS:
         raise ValueError(f"exact Shapley computation is limited to {SHAPLEY_EXACT_MAX_AGENTS} agents, got {n}")
     if n == 0:
-        return ShapleyResult((), ShapleyMethod.EXACT_SUBSET_SUM)
+        return Allocation(())
     table = char_table(inst).values
     coeff = [
         math.factorial(k) * math.factorial(n - 1 - k) / math.factorial(n)
@@ -57,10 +39,10 @@ def shapley_exact(inst: GameInstance) -> ShapleyResult:
             if mask & bit:
                 continue
             values[v] += c * (table[mask | bit] - base)
-    return ShapleyResult(tuple(float(v) for v in values), ShapleyMethod.EXACT_SUBSET_SUM)
+    return Allocation.of(values)
 
 
-def shapley_sample(inst: GameInstance, permutations: int, seed: int) -> ShapleyResult:
+def shapley_sample(inst: GameInstance, permutations: int, seed: int) -> Allocation:
     """Unbiased Shapley estimate from seeded random agent orderings."""
     if permutations < 1:
         raise ValueError("at least one permutation is required")
@@ -69,7 +51,9 @@ def shapley_sample(inst: GameInstance, permutations: int, seed: int) -> ShapleyR
     n = inst.n
     rng = np.random.default_rng(seed)
     acc = np.zeros(n)
-    cache: dict[int, float] = {0: 0.0}
+    # every ordering ends at the grand coalition: its value first, so that
+    # a game past the oracle's agent limit is refused before any prefix runs
+    cache: dict[int, float] = {(1 << n) - 1: char_value(inst, range(n)), 0: 0.0}
     for _ in range(permutations):
         perm = rng.permutation(n)
         mask = 0
@@ -82,13 +66,7 @@ def shapley_sample(inst: GameInstance, permutations: int, seed: int) -> ShapleyR
                 cache[mask] = cur
             acc[v] += cur - prev
             prev = cur
-    values = acc / permutations
-    return ShapleyResult(
-        tuple(float(x) for x in values),
-        ShapleyMethod.PERMUTATION_SAMPLE,
-        samples=permutations,
-        seed=seed,
-    )
+    return Allocation.of(acc / permutations)
 
 
 def matching_lower_bound_value(n: int, delta: float) -> float:

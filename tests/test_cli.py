@@ -239,6 +239,7 @@ def test_shapley_exact_command(runner, tmp_path):
     assert payload["values"]["0"] == pytest.approx(2 / 3)
     assert payload["values"]["1"] == pytest.approx(7 / 6)
     assert payload["method"] == "exact"
+    assert payload["samples"] is None and payload["seed"] is None
 
 
 def test_shapley_sample_command_is_seeded(runner, tmp_path):
@@ -247,6 +248,8 @@ def test_shapley_sample_command_is_seeded(runner, tmp_path):
     out1 = invoke(runner, args).output
     out2 = invoke(runner, args).output
     assert out1 == out2
+    payload = json.loads(out1.splitlines()[0])
+    assert (payload["method"], payload["samples"], payload["seed"]) == ("sample", 50, 4)
 
 
 def test_lipschitz_command_pass_and_csv(runner, tmp_path):
@@ -340,10 +343,14 @@ def test_values_beyond_the_float_range_exit_two(runner, tmp_path, inst, args, ne
         ({"0": 0.5, "2": 0.5}, "not a distinct agent id"),
         ({"0": 0.5, "00": 0.5}, "not a distinct agent id"),
         ({"0": 1.0}, "no allocation value for agents [1]"),
-        ({"0": 0.5, "1": "nan"}, "not finite"),
+        ({"0": 0.5, "1": float("nan")}, "not finite"),
         ({"0": 0.5, "1": [1]}, "bad allocation entry"),
+        ({"0": 0.5, "1": True}, "bad allocation entry"),
+        ({"0": 0.5, "1": "0.5"}, "bad allocation entry"),
+        ({"0": 0.5, " 1": 0.5}, "not a distinct agent id"),
     ],
-    ids=["negative-key", "key-past-n", "duplicate-agent", "missing-agent", "nan", "list"],
+    ids=["negative-key", "key-past-n", "duplicate-agent", "missing-agent", "nan", "list",
+         "boolean", "string-number", "padded-key"],
 )
 def test_core_check_rejects_bad_allocation_entries(runner, tmp_path, allocation, needle):
     path = write_single_edge(tmp_path)
@@ -396,6 +403,22 @@ def test_coalition_enumeration_past_twenty_agents_exits_two(runner, tmp_path, ar
     result = runner.invoke(main, [args[0], str(path), *args[1:]])
     assert time.perf_counter() - start < 20.0
     expect_input_error(result, "limited to 20 agents")
+    assert len(result.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["allocate", "--epsilon", "0.25"], ["shapley", "--method", "sample", "--samples", "1"],
+     ["core-check", "alloc.json", "--alpha", "0.25"]],
+    ids=["allocate", "shapley-sample", "core-check"],
+)
+def test_an_agent_count_too_large_for_memory_exits_two(runner, tmp_path, args):
+    path = tmp_path / "vast.json"
+    path.write_text(json.dumps({"kind": "matching", "n": 2**40, "edges": []}))
+    (tmp_path / "alloc.json").write_text("{}")
+    args = [str(tmp_path / a) if a.endswith(".json") else a for a in args]
+    result = runner.invoke(main, [args[0], str(path), *args[1:]])
+    expect_input_error(result, "error: ")
     assert len(result.stderr.splitlines()) == 1
 
 
@@ -459,6 +482,18 @@ def test_gen_pair_commands(runner, tmp_path):
                              "-o", str(a), "--out-second", str(b)])
     assert result.exit_code == 0
     assert json.loads(b.read_text())["edges"][1]["w"] == 1.1
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["gen", "path-zero-ends", "--n", "5"], ["gen", "path-bump", "--n", "5", "--delta", "0.1"]],
+    ids=["zero-ends", "bump"],
+)
+def test_gen_pair_commands_write_both_files_or_neither(runner, tmp_path, args):
+    first = tmp_path / "a.json"
+    result = runner.invoke(main, [*args, "-o", str(first), "--out-second", str(tmp_path / "missing" / "b.json")])
+    expect_input_error(result, "missing")
+    assert not first.exists()
 
 
 def test_gen_rejects_bad_parameters(runner, tmp_path):

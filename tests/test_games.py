@@ -22,38 +22,38 @@ from conftest import matching_instance, mst_instance
 
 def test_minimal_mst_instance_is_valid():
     inst = mst_instance(1, [(ROOT, 0, 1.0)])
-    assert validate_instance(inst).ok
+    assert validate_instance(inst) == ()
 
 
 def test_agent_missing_root_edge_is_flagged():
     inst = mst_instance(2, [(ROOT, 0, 1.0)])
-    result = validate_instance(inst)
-    assert not result.ok
-    assert any("agent 1" in v and "root" in v for v in result.violations)
+    violations = validate_instance(inst)
+    assert violations
+    assert any("agent 1" in v and "root" in v for v in violations)
 
 
 def test_self_loop_is_flagged():
     inst = matching_instance(2, [(0, 0, 1.0)])
-    result = validate_instance(inst)
-    assert not result.ok
-    assert any("self-loop" in v for v in result.violations)
+    violations = validate_instance(inst)
+    assert violations
+    assert any("self-loop" in v for v in violations)
 
 
 def test_parallel_edges_are_flagged():
     inst = matching_instance(2, [(0, 1, 1.0), (1, 0, 2.0)])
-    result = validate_instance(inst)
-    assert not result.ok
-    assert any("parallel" in v for v in result.violations)
+    violations = validate_instance(inst)
+    assert violations
+    assert any("parallel" in v for v in violations)
 
 
 def test_root_endpoint_rejected_in_matching_kind():
     inst = matching_instance(2, [(ROOT, 0, 1.0)])
-    assert not validate_instance(inst).ok
+    assert validate_instance(inst)
 
 
 def test_negative_weight_is_flagged():
     inst = matching_instance(2, [(0, 1, -0.5)])
-    assert not validate_instance(inst).ok
+    assert validate_instance(inst)
 
 
 def test_edge_ids_must_be_positional():

@@ -70,5 +70,5 @@ def test_random_matching_full_prob_is_complete():
 @pytest.mark.parametrize("seed", range(20))
 def test_generated_instances_validate_with_positive_weights(kind, seed):
     inst = gen_random(kind, 1 + seed % 9, 0.4, 10.0, seed)
-    assert validate_instance(inst).ok
+    assert validate_instance(inst) == ()
     assert all(0 < w <= 10.0 for w in inst.weights)
