@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
 from .games import Allocation, GameInstance, GameKind, l1_distance, perturb
@@ -18,7 +17,7 @@ from .matching import integrate_matching, matching_core_allocate
 from .mst import integrate_mst, mst_core_allocate
 from .oracles import CharTable, agents_of, char_table, coalition_values
 from .shapley import shapley_exact
-from .exactlp import solve_feasible
+from .exactlp import solve_scaled
 
 CORE_CHECK_MAX_AGENTS = 16
 EXACT_SOLVE_MAX_AGENTS = 12
@@ -55,7 +54,7 @@ class CoreReport:
 
 def _subset_sums(values: Sequence) -> list:
     """sums[mask] = sum of values over the agents in mask, for all masks;
-    Fractions stay exact."""
+    ints stay exact."""
     sums: list = [0]
     for v in values:
         sums += [s + v for s in sums]
@@ -64,8 +63,8 @@ def _subset_sums(values: Sequence) -> list:
 
 def _slacks(kind: GameKind, values: Sequence, allocated: Sequence, alpha: float) -> tuple[list, list]:
     """Allocated sums and relaxed-constraint slacks of every coalition, by
-    mask; Fraction values and allocations with an int alpha stay exact. A
-    float sum or product beyond the float range is infinite."""
+    mask; int values, allocations and alpha stay exact. A float sum or
+    product beyond the float range is infinite."""
     sums = _subset_sums(allocated)
     if kind is GameKind.MATCHING:
         return sums, [s - alpha * v for s, v in zip(sums, values)]
@@ -140,28 +139,38 @@ def iter_core_rows(
 def exact_core_solve(inst: GameInstance) -> Allocation | None:
     """Exact core point of the unrelaxed coalition system, or None.
 
-    Solves the full 2^n constraint system in rational arithmetic by
+    Solves the full 2^n constraint system in exact arithmetic by
     constraint generation: repeatedly finds a point for the active
     coalitions and adds the most violated remaining one. The active
     coalitions hold at the returned point, so when the least slack is
     negative its first arg-min is always a coalition not yet active.
+
+    Every weight is a binary fraction, so one power of two ``scale``
+    turns them all into ints, and the coalition values with them: the
+    scaling is exact and monotone, so the subset DP and Kruskal's order
+    do not change. The solver returns the point as int numerators over
+    ``det``, so the slacks are ints over ``det * scale``.
     """
     n = inst.n
     if n > EXACT_SOLVE_MAX_AGENTS:
         raise ValueError(f"exact_core_solve is limited to {EXACT_SOLVE_MAX_AGENTS} agents, got {n}")
-    nu = coalition_values(inst, [Fraction(w) for w in inst.weights])
+    ratios = [w.as_integer_ratio() for w in inst.weights]
+    scale = max((d for _, d in ratios), default=1)  # a power of two: every denominator divides it
+    nu = coalition_values(inst, [p * (scale // d) for p, d in ratios])
     rel = ">=" if inst.kind is GameKind.MATCHING else "<="
     active = [1 << v for v in range(n)]
     while True:
         constraints: list = [([1] * n, "==", nu[-1])]
         constraints += [([(mask >> v) & 1 for v in range(n)], rel, nu[mask]) for mask in active]
-        point = solve_feasible(n, constraints)
-        if point is None:
+        found = solve_scaled(n, constraints)
+        if found is None:
             return None
-        # alpha is the int 1: a float alpha would turn the Fractions into floats
-        worst_mask, worst_slack = _worst(_slacks(inst.kind, nu, point, 1)[1])
+        point, det = found
+        # alpha = det puts the values over the point's denominator
+        worst_mask, worst_slack = _worst(_slacks(inst.kind, nu, point, det)[1])
         if worst_slack >= 0:
-            return Allocation.of(float(v) for v in point)
+            # int true division rounds correctly, as float() of the Fraction would
+            return Allocation.of([v / (det * scale) for v in point])
         active.append(worst_mask)
 
 

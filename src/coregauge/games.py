@@ -8,6 +8,7 @@ are immutable after construction and safe to share between workers.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -15,6 +16,8 @@ from enum import Enum
 from typing import Iterable, Sequence
 
 ROOT = -1
+
+NAMED_MISSING = 5  # agent ids named in the message on agents cut off from the root
 
 
 class GameKind(Enum):
@@ -60,7 +63,7 @@ class GameInstance:
         """Copy of this instance with a replaced weight vector."""
         if len(weights) != self.m:
             raise ValueError(f"expected {self.m} weights, got {len(weights)}")
-        return GameInstance(self.kind, self.n, self.edges, tuple(float(w) for w in weights))
+        return GameInstance(self.kind, self.n, self.edges, tuple([float(w) for w in weights]))
 
     def root_edge_weight(self, v: int) -> float:
         """Weight of the edge joining agent v to the root (spanning-tree games)."""
@@ -85,7 +88,7 @@ class Allocation:
 
     @classmethod
     def of(cls, values: Iterable[float]) -> "Allocation":
-        return cls(tuple(float(x) for x in values))
+        return cls(tuple([float(x) for x in values]))
 
     @property
     def n(self) -> int:
@@ -131,9 +134,17 @@ def validate_instance(inst: GameInstance) -> tuple[str, ...]:
         if is_mst and ROOT in (e.u, e.v):
             root_adjacent.add(e.u if e.v == ROOT else e.v)
     if is_mst:
-        for v in range(inst.n):
-            if v not in root_adjacent:
-                bad.append(f"agent {v} is not adjacent to the root")
+        missing = inst.n - len({v for v in root_adjacent if 0 <= v < inst.n})
+        if missing > 0:
+            # O(m), whatever n is: the named ids are among the first
+            # len(root_adjacent) + NAMED_MISSING agents
+            unreached = (v for v in range(inst.n) if v not in root_adjacent)
+            first = list(itertools.islice(unreached, NAMED_MISSING))
+            named = ", ".join(map(str, first))
+            if missing > len(first):
+                named += f" and {missing - len(first)} more"
+            bad.append(f"agent {named} is not adjacent to the root" if missing == 1
+                       else f"agents {named} are not adjacent to the root")
     return tuple(bad)
 
 
@@ -198,8 +209,8 @@ def instance_from_dict(data: dict) -> GameInstance:
     ids = [rec[0] for rec in records]
     if ids != list(range(len(records))):
         raise ValueError(f"edge ids must be exactly 0..{len(records) - 1}, got {ids}")
-    edges = tuple(Edge(eid, u, v) for eid, u, v, _ in records)
-    weights = tuple(w for _, _, _, w in records)
+    edges = tuple([Edge(eid, u, v) for eid, u, v, _ in records])
+    weights = tuple([w for _, _, _, w in records])
     return GameInstance(kind, n, edges, weights)
 
 

@@ -20,7 +20,7 @@ def gen_path_uniform(n: int) -> GameInstance:
     """Matching game on a path of n vertices, all edge weights 1."""
     if n < 2:
         raise ValueError(f"a path needs at least 2 vertices, got {n}")
-    edges = tuple(Edge(i, i, i + 1) for i in range(n - 1))
+    edges = tuple([Edge(i, i, i + 1) for i in range(n - 1)])
     return _checked(GameInstance(GameKind.MATCHING, n, edges, (1.0,) * (n - 1)))
 
 

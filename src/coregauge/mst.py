@@ -133,7 +133,7 @@ def auxiliary_tree(inst: GameInstance, weights: Sequence[float]) -> AuxiliaryTre
 
 
 def _heights(tree: AuxiliaryTree) -> tuple[float, ...]:
-    return tuple(node.height for node in tree.nodes)
+    return tuple([node.height for node in tree.nodes])
 
 
 def _shares(tree: AuxiliaryTree, rounded: Sequence[float], n: int) -> list[float]:

@@ -5,7 +5,7 @@ the induced substructure: maximum matching weight of G[S], or minimum
 spanning tree weight of G[S + root]. Both oracles are exact; the
 matching side uses a dynamic program over vertex subsets, the tree side
 Kruskal with union-find. The helpers are generic over the numeric type
-of the weights so that exact rational runs reuse the same code.
+of the weights so that exact integer runs reuse the same code.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ def agents_of(mask: int) -> tuple[int, ...]:
 
 def coalition_values(inst: GameInstance, weights: Sequence) -> list:
     """Value of every agent subset, indexed by bitmask, in the numeric
-    type of ``weights`` (floats, or Fractions for exact runs).
+    type of ``weights`` (floats, or ints for exact runs).
 
     Matching games run one subset DP: the lowest agent of a mask is
     either unmatched or matched to a neighbour inside the mask. Tree
@@ -93,8 +93,8 @@ def max_weight_matching(inst: GameInstance, S: Iterable[int]) -> float:
         raise ValueError(f"subset {members} contains non-agent ids")
     local = {v: i for i, v in enumerate(members)}
     kept = [e for e in inst.edges if e.u in local and e.v in local]
-    edges = tuple(Edge(i, local[e.u], local[e.v]) for i, e in enumerate(kept))
-    sub = GameInstance(inst.kind, len(members), edges, tuple(inst.weights[e.id] for e in kept))
+    edges = tuple([Edge(i, local[e.u], local[e.v]) for i, e in enumerate(kept)])
+    sub = GameInstance(inst.kind, len(members), edges, tuple([inst.weights[e.id] for e in kept]))
     return float(coalition_values(sub, sub.weights)[-1])
 
 

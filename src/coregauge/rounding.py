@@ -78,11 +78,13 @@ class RoundingSchedule:
             levels = {k: self.base ** (k + b) for i in starts for k in (i, i + 1)}
         except OverflowError:
             raise ValueError(_BEYOND_FLOAT_RANGE) from None
-        exponents = tuple(
+        # tuple([...]) is built at its exact size; tuple(<generator>) grows by
+        # resizing, which leaves CPython's per-size tuple freelists full
+        exponents = tuple([
             i if i is None or levels[i] <= w else i - 1
             for w, i in zip(self.weights, self.start_exponents)
-        )
-        rounded = tuple(0.0 if i is None else levels[i + 1] for i in exponents)
+        ])
+        rounded = tuple([0.0 if i is None else levels[i + 1] for i in exponents])
         return RoundedWeights(exponents, rounded)
 
 
@@ -155,7 +157,7 @@ def within_rounding_range(weights: Sequence[float]) -> Sequence[float]:
     if top <= 2.0**WEIGHT_CAP_EXPONENT:
         return weights
     shift = math.frexp(top)[1] - WEIGHT_CAP_EXPONENT
-    return tuple(math.ldexp(w, -shift) for w in weights)
+    return tuple([math.ldexp(w, -shift) for w in weights])
 
 
 def differing_offset_measure(w_before: float, w_after: float, base: float) -> float:

@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ from coregauge.instances import (
 )
 from coregauge.matching import matching_core_allocate, matching_raw_sensitivity_bound
 from coregauge.mst import mst_core_allocate, mst_raw_sensitivity_bound
-from coregauge.oracles import agents_of, char_table, char_value
+from coregauge.oracles import agents_of, char_table, char_value, coalition_values
 from coregauge.shapley import matching_lower_bound_value
 
 from conftest import matching_instance, mst_instance
@@ -162,6 +163,34 @@ def test_exact_core_solve_selects_the_pinned_points():
         x = exact_core_solve(inst)
         got = None if x is None else [v.hex() for v in x.values]
         assert got == case["point"], case
+
+
+EXTREME_WEIGHTS = (5e-324, 1e-310, 2.2250738585072014e-308, 1.0, 1e308)
+
+
+@pytest.mark.parametrize("kind", list(GameKind))
+@pytest.mark.parametrize("seed", range(12))
+def test_exact_core_solve_at_the_float_extremes(kind, seed):
+    # weights from the least subnormal to 1e308: the point must hold every
+    # coalition constraint in exact arithmetic, up to the rounding of each
+    # coordinate to float, and sum to the grand value
+    rng = np.random.default_rng(seed)
+    n = 1 + seed % 6
+    base = gen_random(kind, n, 0.7, 1.0, seed)
+    inst = base.with_weights([EXTREME_WEIGHTS[i] for i in rng.integers(0, len(EXTREME_WEIGHTS), base.m)])
+    x = exact_core_solve(inst)
+    if x is None:
+        assert kind is GameKind.MATCHING  # spanning-tree games always have a core point
+        return
+    exact = [Fraction(v) for v in x.values]
+    ulps = [Fraction(math.ulp(v)) for v in x.values]
+    nu = coalition_values(inst, [Fraction(w) for w in inst.weights])
+    sign = 1 if kind is GameKind.MATCHING else -1
+    for mask in range(1, 1 << n):
+        members = agents_of(mask)
+        allocated = sum((exact[v] for v in members), Fraction(0))
+        assert sign * (allocated - nu[mask]) >= -sum(ulps[v] for v in members), (mask, x.values)
+    assert abs(sum(exact) - nu[-1]) <= sum(ulps)
 
 
 def test_exact_core_solve_size_guard():

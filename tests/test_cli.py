@@ -422,6 +422,14 @@ def test_an_agent_count_too_large_for_memory_exits_two(runner, tmp_path, args):
     assert len(result.stderr.splitlines()) == 1
 
 
+def test_a_vast_tree_game_without_supply_edges_exits_two_with_one_line(runner, tmp_path):
+    path = tmp_path / "vast-tree.json"
+    path.write_text(json.dumps({"kind": "mst", "n": 2**40, "edges": []}))
+    result = runner.invoke(main, ["allocate", str(path)])
+    expect_input_error(result, "agents 0, 1, 2, 3, 4 and 1099511627771 more are not adjacent to the root")
+    assert len(result.stderr.splitlines()) == 1
+
+
 @pytest.mark.parametrize("weight", [5e-324, 1e308], ids=["subnormal", "huge"])
 def test_lipschitz_probes_the_smallest_and_largest_weights(runner, tmp_path, weight):
     path = tmp_path / "edge.json"

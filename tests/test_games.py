@@ -32,6 +32,14 @@ def test_agent_missing_root_edge_is_flagged():
     assert any("agent 1" in v and "root" in v for v in violations)
 
 
+def test_agents_cut_off_from_the_root_share_one_short_message():
+    # one message naming the first few, found in O(m) steps, whatever n is
+    (message,) = validate_instance(GameInstance(GameKind.MIN_SPANNING_TREE, 2**40, (), ()))
+    assert message == "agents 0, 1, 2, 3, 4 and 1099511627771 more are not adjacent to the root"
+    inst = mst_instance(5, [(ROOT, 0, 1.0), (ROOT, 2, 1.0), (ROOT, 4, 1.0)])
+    assert validate_instance(inst) == ("agents 1, 3 are not adjacent to the root",)
+
+
 def test_self_loop_is_flagged():
     inst = matching_instance(2, [(0, 0, 1.0)])
     violations = validate_instance(inst)
