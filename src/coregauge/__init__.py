@@ -25,7 +25,6 @@ from .oracles import (
     mask_of,
     max_weight_matching,
     mst_weight,
-    spanning_edges,
 )
 from .rounding import (
     RoundedWeights,
@@ -65,7 +64,6 @@ from .shapley import (
 )
 from .analysis import (
     ALLOCATOR_NAMES,
-    CoreDirection,
     CoreReport,
     LipschitzReport,
     ProbeRow,

@@ -8,8 +8,8 @@ CLI decide what a failing report means.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Iterator, Sequence
 
 from .games import Allocation, GameInstance, GameKind, l1_distance, perturb
@@ -27,15 +27,10 @@ GRAND_TOL = 1e-9
 PROBE_EXPONENTS = (0, 1, 2, 3)
 
 
-class CoreDirection(Enum):
-    WELFARE_LOWER = "welfare_lower"
-    COST_UPPER = "cost_upper"
-
-
 @dataclass(frozen=True)
 class CoreReport:
     alpha: float
-    direction: CoreDirection
+    direction: str  # "welfare_lower" for matching games, "cost_upper" for tree games
     worst_subset: tuple[int, ...]
     worst_slack: float
     grand_residual: float
@@ -44,7 +39,7 @@ class CoreReport:
     def to_dict(self) -> dict:
         return {
             "alpha": self.alpha,
-            "direction": self.direction.value,
+            "direction": self.direction,
             "worst_subset": list(self.worst_subset),
             "worst_slack": self.worst_slack,
             "grand_residual": self.grand_residual,
@@ -95,9 +90,19 @@ def core_check(
 
     Welfare games require each coalition to receive at least alpha times
     its own value; cost games require it to pay at most alpha times its
-    own cost. The grand coalition must match its value up to grand_tol.
-    The report names the worst nonempty proper coalition, or the empty
-    one with slack 0 when there is none (n <= 1).
+    own cost. The grand coalition must match its value. The report names
+    the worst nonempty proper coalition, or the empty one with slack 0
+    when there is none (n <= 1).
+
+    A slack passes down to -tol and the grand residual up to grand_tol,
+    each plus the float-summation allowance n*eps*(sum |x_v| + |alpha| *
+    max_S |value(S)|), eps the float epsilon: a sum of n floats is off by
+    about that much, so the verdict does not change when every weight and
+    share is scaled by one factor. The product |alpha| * max_S |value(S)|
+    counts at most the largest float (a relaxed bound past it is infinite
+    and rounds no further), and each term is multiplied by n*eps before
+    the sum, so the allowance stays below 1e-12 times the largest float:
+    an infinite or NaN slack or residual always fails.
     """
     if not math.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha}")
@@ -116,10 +121,13 @@ def core_check(
     worst_mask, worst_slack = _worst(slack)  # the grand coalition is handled by the residual
     worst_slack = float(worst_slack)
     grand_residual = abs(float(sums[-1]) - table.grand)
-    passed = worst_slack >= -tol and grand_residual <= grand_tol
+    unit = inst.n * sys.float_info.epsilon
+    scaled_max = min(abs(alpha) * max(abs(v) for v in table.values), sys.float_info.max)
+    allowance = sum(unit * abs(v) for v in x.values) + unit * scaled_max
+    passed = worst_slack >= -(tol + allowance) and grand_residual <= grand_tol + allowance
     return CoreReport(
         alpha=alpha,
-        direction=CoreDirection.WELFARE_LOWER if welfare else CoreDirection.COST_UPPER,
+        direction="welfare_lower" if welfare else "cost_upper",
         worst_subset=agents_of(worst_mask),
         worst_slack=worst_slack,
         grand_residual=grand_residual,
@@ -130,7 +138,8 @@ def core_check(
 def iter_core_rows(
     table: CharTable, x: Allocation, alpha: float
 ) -> Iterator[tuple[tuple[int, ...], float, float, float]]:
-    """(subset, coalition value, allocated sum, slack) for every proper coalition."""
+    """(subset, coalition value, allocated sum, slack) for every coalition
+    but the grand one, the empty coalition first."""
     sums, slack = _slacks(table.game.kind, table.values, x.values, alpha)
     for mask in range(len(sums) - 1):
         yield agents_of(mask), table.values[mask], float(sums[mask]), float(slack[mask])
@@ -224,13 +233,15 @@ def lipschitz_scan(
     tol: float = SLACK_TOL,
 ) -> LipschitzReport:
     """One probe per (edge, delta): re-run the allocator on the bumped
-    weights and record the l1 change per unit of weight change."""
+    weights and record the l1 change per unit of weight change. An
+    allocator's ValueError comes back as one naming the failing probe;
+    any other exception propagates unchanged."""
 
     def run(target: GameInstance, where: str) -> Sequence[float]:
         try:
             return allocator(target)
-        except Exception as exc:
-            raise RuntimeError(f"allocator {name!r} failed {where}: {exc}") from exc
+        except ValueError as exc:
+            raise ValueError(f"allocator {name!r} failed {where}: {exc}") from exc
 
     if not math.isfinite(claimed_bound):
         raise ValueError(f"claimed bound must be finite, got {claimed_bound}")

@@ -82,17 +82,15 @@ def _load_checked(path: str) -> GameInstance:
 class _Main(click.Group):
     """Exit 2 with one stderr line on bad input in any command: a ValueError
     (the library's signal for bad input), an OSError (a path that cannot be
-    read or written), a RuntimeError (a failing allocator in
-    ``lipschitz_scan``) or a MemoryError (an input too large to hold).
-    click's Exit and Abort are RuntimeErrors too, and pass through like a
-    closed stdout pipe, which click handles itself."""
+    read or written) or a MemoryError (an input too large to hold). A
+    closed stdout pipe passes through, and click handles it itself."""
 
     def invoke(self, ctx: click.Context):
         try:
             return super().invoke(ctx)
-        except (click.exceptions.Exit, click.exceptions.Abort, BrokenPipeError):
+        except BrokenPipeError:
             raise
-        except (ValueError, OSError, RuntimeError) as exc:
+        except (ValueError, OSError) as exc:
             raise _fail_input(str(exc))
         except MemoryError as exc:  # Python's own carries no message
             raise _fail_input(str(exc) or "the input is too large for the available memory")
@@ -145,6 +143,8 @@ def _load_allocation(path: str, n: int) -> Allocation:
             data = json.load(fh)
     except (OSError, ValueError) as exc:  # ValueError covers bad JSON and bad UTF-8
         raise ValueError(f"{path}: {exc}")
+    except RecursionError:
+        raise ValueError(f"{path}: nested too deeply to read")
     mapping = data.get("allocation", data) if isinstance(data, dict) else None
     if not isinstance(mapping, dict):
         raise ValueError(f"{path}: expected an object with per-agent values")
@@ -207,7 +207,7 @@ def shapley_cmd(instance_file: str, method: str, samples: int, seed: int) -> Non
     else:
         x = shapley_sample(inst, samples, seed)
     payload = {
-        "values": {str(v): x.values[v] for v in range(inst.n)},
+        "allocation": {str(v): x.values[v] for v in range(inst.n)},
         "method": method,
         "samples": samples,
         "seed": seed,

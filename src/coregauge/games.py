@@ -65,15 +65,6 @@ class GameInstance:
             raise ValueError(f"expected {self.m} weights, got {len(weights)}")
         return GameInstance(self.kind, self.n, self.edges, tuple([float(w) for w in weights]))
 
-    def root_edge_weight(self, v: int) -> float:
-        """Weight of the edge joining agent v to the root (spanning-tree games)."""
-        if self.kind is not GameKind.MIN_SPANNING_TREE:
-            raise ValueError("root edges exist only in spanning-tree games")
-        for e in self.edges:
-            if (e.u == ROOT and e.v == v) or (e.v == ROOT and e.u == v):
-                return self.weights[e.id]
-        raise ValueError(f"agent {v} has no edge to the root")
-
 
 @dataclass(frozen=True)
 class Allocation:
@@ -205,10 +196,7 @@ def instance_from_dict(data: dict) -> GameInstance:
             records.append((eid, u, v, float(_json(rec["w"], (int, float), "a number"))))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"malformed edge record {rec!r}: {exc}") from exc
-    records.sort(key=lambda rec: rec[0])
-    ids = [rec[0] for rec in records]
-    if ids != list(range(len(records))):
-        raise ValueError(f"edge ids must be exactly 0..{len(records) - 1}, got {ids}")
+    records.sort(key=lambda rec: rec[0])  # GameInstance refuses ids other than 0..m-1
     edges = tuple([Edge(eid, u, v) for eid, u, v, _ in records])
     weights = tuple([w for _, _, _, w in records])
     return GameInstance(kind, n, edges, weights)
@@ -220,6 +208,8 @@ def load_instance(path: str) -> GameInstance:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path} is not valid JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise ValueError(f"{path} is nested too deeply to read") from exc
     return instance_from_dict(data)
 
 

@@ -64,16 +64,7 @@ class AuxiliaryTree:
     """Kruskal merge dendrogram: leaves are the graph vertices, every
     internal node is a component labelled with its merge weight."""
 
-    nodes: tuple[TreeNode, ...]
-    top: int
-
-    def parent_edges(self) -> list[tuple[TreeNode, TreeNode]]:
-        """(parent, child) pairs for every dendrogram edge."""
-        out = []
-        for node in self.nodes:
-            for c in node.children:
-                out.append((node, self.nodes[c]))
-        return out
+    nodes: tuple[TreeNode, ...]  # the top, the last merge, comes last
 
     def to_dict(self) -> dict:
         return {
@@ -128,8 +119,7 @@ def auxiliary_tree(inst: GameInstance, weights: Sequence[float]) -> AuxiliaryTre
             node_of[new_root] = nid
     if len(node_of) != 1:
         raise ValueError("graph is not connected; cannot build the merge dendrogram")
-    (top,) = node_of.values()
-    return AuxiliaryTree(tuple(nodes), top)
+    return AuxiliaryTree(tuple(nodes))
 
 
 def _heights(tree: AuxiliaryTree) -> tuple[float, ...]:
@@ -162,12 +152,11 @@ def connector_sum(tree: AuxiliaryTree, S: Sequence[int] | set[int]) -> float:
     supply leaf, restricted to edges whose subtree avoids the supply."""
     smask = mask_of(S)
     total = 0.0
-    for parent_node, child in tree.parent_edges():
-        if child.has_supply:
-            continue
-        if child.agent_mask & smask == 0:
-            continue
-        total += parent_node.height - child.height
+    for node in tree.nodes:
+        for c in node.children:
+            child = tree.nodes[c]
+            if not child.has_supply and child.agent_mask & smask:
+                total += node.height - child.height
     return total
 
 
@@ -180,7 +169,7 @@ def offset_dendrogram(inst: GameInstance, weights: Sequence[float], b: float) ->
     rounding of an unused heavy edge inside the float range.
     """
     exact = auxiliary_tree(inst, weights)
-    top = exact.nodes[exact.top].height
+    top = exact.nodes[-1].height
     return auxiliary_tree(inst, round_weights_mst([min(w, top) for w in weights], b).rounded)
 
 

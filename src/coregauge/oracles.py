@@ -128,33 +128,24 @@ def _sorted_edge_ids(inst: GameInstance, weights: Sequence) -> list[int]:
     return sorted(range(inst.m), key=lambda eid: (weights[eid], eid))
 
 
-def spanning_edges(inst: GameInstance, smask: int, order: Sequence[int]) -> list[int]:
-    """Edge ids Kruskal's algorithm keeps on G[S + root], in the order it
-    takes them from ``order`` (edge ids sorted by weight, ties by id); it
-    stops once it has |S| edges, and returns fewer when G[S + root] is
-    not connected."""
+def _mst_value(inst: GameInstance, weights: Sequence, smask: int, order: Sequence[int]):
+    """Spanning tree weight of G[S + root]: Kruskal takes edges from
+    ``order`` (edge ids sorted by weight, ties by id), sums them in the
+    order it takes them, and stops once it has |S| of them."""
     n = inst.n
     inside = smask | 1 << n  # the supply vertex is union-find slot n
     needed = smask.bit_count()
     uf = _UnionFind(n + 1)
-    taken: list[int] = []
+    total = 0
     for eid in order:
+        if not needed:
+            break
         a, b = _slots(inst.edges[eid], n)
         if (inside >> a) & (inside >> b) & 1 and uf.union(a, b):
-            taken.append(eid)
-            if len(taken) == needed:
-                break
-    return taken
-
-
-def _mst_value(inst: GameInstance, weights: Sequence, smask: int, order: Sequence[int]):
-    """Spanning tree weight of G[S + root], summed in Kruskal's order."""
-    taken = spanning_edges(inst, smask, order)
-    if len(taken) != smask.bit_count():
+            total = total + weights[eid]
+            needed -= 1
+    if needed:
         raise ValueError("induced subgraph is not connected through the root")
-    total = 0
-    for eid in taken:
-        total = total + weights[eid]
     return total
 
 
@@ -181,12 +172,6 @@ class CharTable:
 
     game: GameInstance
     values: list[float]
-
-    def __getitem__(self, mask: int) -> float:
-        return self.values[mask]
-
-    def value_of(self, S: Iterable[int]) -> float:
-        return self.values[mask_of(S)]
 
     @property
     def grand(self) -> float:

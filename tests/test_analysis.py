@@ -33,7 +33,7 @@ def test_core_check_single_edge_pass():
     inst = matching_instance(2, [(0, 1, 1.0)])
     report = core_check(inst, Allocation.of([0.5, 0.5]), 0.25)
     assert report.passed
-    assert report.direction.value == "welfare_lower"
+    assert report.direction == "welfare_lower"
     assert report.grand_residual <= 1e-12
 
 
@@ -67,7 +67,65 @@ def test_core_check_cost_direction():
     # a grossly unfair split must fail the cost check at alpha 1
     report = core_check(inst, Allocation.of([3.0, 0.0]), 1.0)
     assert not report.passed
+    assert report.direction == "cost_upper"
     assert report.worst_subset == (0,)
+
+
+CORE_ALLOCATORS = {
+    GameKind.MATCHING: (lambda inst: matching_core_allocate(inst, inst.weights, 0.25), 0.25),
+    GameKind.MIN_SPANNING_TREE: (lambda inst: mst_core_allocate(inst, inst.weights), 4.0),
+}
+
+
+def _scaled(inst, c):
+    return inst.with_weights([c * w for w in inst.weights])
+
+
+@pytest.mark.parametrize("c", [1e6, 1e12, 1e300])
+@pytest.mark.parametrize("kind", [GameKind.MATCHING, GameKind.MIN_SPANNING_TREE])
+def test_core_allocators_pass_core_check_at_every_weight_scale(kind, c):
+    # float sums of c-sized shares are off by about c * eps, far above the
+    # absolute tolerances once c is large; the summation allowance covers it
+    allocate, alpha = CORE_ALLOCATORS[kind]
+    for seed in range(16):
+        inst = _scaled(gen_random(kind, 2 + seed % 7, 0.5, 10.0, 500 + seed), c)
+        report = core_check(inst, allocate(inst), alpha)
+        assert report.passed, (seed, report)
+
+
+@pytest.mark.parametrize("c", [1e6, 1e12, 1e300])
+@pytest.mark.parametrize("kind", [GameKind.MATCHING, GameKind.MIN_SPANNING_TREE])
+def test_an_allocation_failing_core_check_fails_at_every_weight_scale(kind, c):
+    allocate, alpha = CORE_ALLOCATORS[kind]
+    for seed in range(16):
+        inst = gen_random(kind, 2 + seed % 7, 0.5, 10.0, 500 + seed)
+        x = allocate(inst).values
+        total = sum(inst.weights) + 1.0  # above every coalition value
+        over = [x[0] + 1e-8 * total, *x[1:]]  # misses the grand value
+        shift = (alpha + 1) * total * (-1 if kind is GameKind.MATCHING else 1)
+        moved = [x[0] + shift, *x[1:-1], x[-1] - shift]  # breaks agent 0's own constraint
+        for bad in (over, moved):
+            assert not core_check(inst, Allocation.of(bad), alpha).passed, (seed, bad)
+            scaled = Allocation.of([c * v for v in bad])
+            assert not core_check(_scaled(inst, c), scaled, alpha).passed, (seed, bad)
+
+
+@pytest.mark.parametrize(
+    "inst,x,alpha",
+    [
+        (matching_instance(2, [(0, 1, 1.0)]), [1e308, -1e308], 0.25),
+        (mst_instance(2, [(ROOT, 0, 1.0), (ROOT, 1, 1.0)]), [1e308, -1e308], 4.0),
+        # alpha times the largest cost is past the float range, agent 0's bound is 1.0
+        (mst_instance(2, [(ROOT, 0, 1e-300), (ROOT, 1, 1e10)]), [1e300, 1e10 - 1e300], 1e300),
+    ],
+    ids=["matching", "tree", "tree-huge-alpha"],
+)
+def test_shares_at_the_float_extremes_that_break_a_constraint_fail(inst, x, alpha):
+    # the summation allowance of such shares is about 1e293, far below the violation
+    report = core_check(inst, Allocation.of(x), alpha)
+    assert not report.passed
+    assert report.worst_subset in ((0,), (1,))
+    assert report.worst_slack < -1e299
 
 
 @pytest.mark.parametrize("kind", [GameKind.MATCHING, GameKind.MIN_SPANNING_TREE])
@@ -252,11 +310,21 @@ def test_lipschitz_scan_reports_failing_probe_context():
 
     def broken(instance):
         if instance.weights[0] != 1.0:
-            raise RuntimeError("boom")
+            raise ValueError("boom")
         return [0.5, 0.5]
 
-    with pytest.raises(RuntimeError, match="edge 0"):
+    with pytest.raises(ValueError, match="allocator 'broken' failed on edge 0 with delta .*: boom"):
         lipschitz_scan(broken, inst, 1.0, name="broken")
+
+
+def test_lipschitz_scan_passes_other_allocator_errors_through_unchanged():
+    inst = matching_instance(2, [(0, 1, 1.0)])
+
+    def buggy(instance):
+        raise RuntimeError("boom")
+
+    with pytest.raises(RuntimeError, match="^boom$"):
+        lipschitz_scan(buggy, inst, 1.0, name="buggy")
 
 
 def test_named_allocator_validation():

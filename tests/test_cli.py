@@ -14,7 +14,7 @@ from click.testing import CliRunner
 
 import coregauge
 from coregauge.cli import main
-from coregauge.games import dump_instance
+from coregauge.games import dump_instance, load_instance
 from coregauge.instances import gen_path_uniform
 
 from conftest import matching_instance, mst_instance
@@ -130,6 +130,25 @@ def test_allocate_output_feeds_core_check(runner, tmp_path):
 
 
 @pytest.mark.parametrize("kind,args,alpha", [("matching", ["--epsilon", "0.25"], "0.25"), ("mst", [], "4")])
+def test_allocations_of_large_weights_pass_core_check(runner, tmp_path, kind, args, alpha):
+    path = tmp_path / "inst.json"
+    invoke(runner, ["gen", "random", "--kind", kind, "--n", "8", "--seed", "3", "--w-max", "1e7", "-o", str(path)])
+    alloc_path = tmp_path / "alloc.json"
+    alloc_path.write_text(invoke(runner, ["allocate", str(path), *args]).stdout)
+    check = invoke(runner, ["core-check", str(path), str(alloc_path), "--alpha", alpha])
+    assert check.exit_code == 0
+    assert payload_of(check)["pass"] is True
+
+
+def test_core_check_refuses_an_allocation_list(runner, tmp_path):
+    path = write_single_edge(tmp_path)
+    alloc_path = tmp_path / "alloc.json"
+    alloc_path.write_text(json.dumps([0.5, 0.5]))
+    result = runner.invoke(main, ["core-check", str(path), str(alloc_path), "--alpha", "0.25"])
+    expect_input_error(result, "expected an object with per-agent values")
+
+
+@pytest.mark.parametrize("kind,args,alpha", [("matching", ["--epsilon", "0.25"], "0.25"), ("mst", [], "4")])
 def test_zero_agent_allocation_feeds_core_check(runner, tmp_path, kind, args, alpha):
     path = tmp_path / "empty.json"
     path.write_text(json.dumps({"kind": kind, "n": 0, "edges": []}))
@@ -236,10 +255,21 @@ def test_shapley_exact_command(runner, tmp_path):
     dump_instance(inst, str(path))
     result = invoke(runner, ["shapley", str(path)])
     payload = payload_of(result)
-    assert payload["values"]["0"] == pytest.approx(2 / 3)
-    assert payload["values"]["1"] == pytest.approx(7 / 6)
+    assert payload["allocation"]["0"] == pytest.approx(2 / 3)
+    assert payload["allocation"]["1"] == pytest.approx(7 / 6)
     assert payload["method"] == "exact"
     assert payload["samples"] is None and payload["seed"] is None
+
+
+@pytest.mark.parametrize("kind,alpha", [("matching", "0.25"), ("mst", "4")])
+def test_shapley_output_feeds_core_check(runner, tmp_path, kind, alpha):
+    path = tmp_path / "inst.json"
+    invoke(runner, ["gen", "random", "--kind", kind, "--n", "6", "--seed", "2", "-o", str(path)])
+    values_path = tmp_path / "shapley.json"
+    values_path.write_text(invoke(runner, ["shapley", str(path)]).stdout)
+    check = runner.invoke(main, ["core-check", str(path), str(values_path), "--alpha", alpha])
+    assert check.exit_code in (0, 1), check.output  # a verdict, not bad input
+    assert payload_of(check)["pass"] is (check.exit_code == 0)
 
 
 def test_shapley_sample_command_is_seeded(runner, tmp_path):
@@ -430,6 +460,18 @@ def test_a_vast_tree_game_without_supply_edges_exits_two_with_one_line(runner, t
     assert len(result.stderr.splitlines()) == 1
 
 
+@pytest.mark.parametrize("which", ["instance", "allocation"])
+def test_deeply_nested_json_exits_two_with_one_line(runner, tmp_path, which):
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 100_000)  # past the JSON decoder's recursion limit
+    files = {"instance": write_single_edge(tmp_path), "allocation": tmp_path / "alloc.json"}
+    files["allocation"].write_text(json.dumps({"allocation": {"0": 0.5, "1": 0.5}}))
+    files[which] = nested
+    result = runner.invoke(main, ["core-check", str(files["instance"]), str(files["allocation"]), "--alpha", "0.25"])
+    expect_input_error(result, "nested too deeply to read")
+    assert len(result.stderr.splitlines()) == 1
+
+
 @pytest.mark.parametrize("weight", [5e-324, 1e308], ids=["subnormal", "huge"])
 def test_lipschitz_probes_the_smallest_and_largest_weights(runner, tmp_path, weight):
     path = tmp_path / "edge.json"
@@ -502,6 +544,23 @@ def test_gen_pair_commands_write_both_files_or_neither(runner, tmp_path, args):
     result = runner.invoke(main, [*args, "-o", str(first), "--out-second", str(tmp_path / "missing" / "b.json")])
     expect_input_error(result, "missing")
     assert not first.exists()
+
+
+def test_gen_path_writes_a_uniform_path(runner, tmp_path):
+    out = tmp_path / "path.json"
+    result = invoke(runner, ["gen", "path", "--n", "5", "-o", str(out)])
+    assert payload_of(result) == {"written": [str(out)]}
+    assert load_instance(str(out)) == gen_path_uniform(5)
+
+
+def test_a_runtime_error_in_a_command_is_not_bad_input(runner, tmp_path, monkeypatch):
+    def buggy(inst):
+        raise RuntimeError("a bug, not bad input")
+
+    monkeypatch.setattr("coregauge.cli.shapley_exact", buggy)
+    result = runner.invoke(main, ["shapley", str(write_single_edge(tmp_path))])
+    assert result.exit_code != 2
+    assert isinstance(result.exception, RuntimeError)
 
 
 def test_gen_rejects_bad_parameters(runner, tmp_path):

@@ -149,6 +149,13 @@ def test_instance_from_dict_rejects_bad_ids():
         instance_from_dict(data)
 
 
+def test_instance_from_dict_names_the_first_bad_id_only():
+    edges = [{"id": i + 1, "u": 0, "v": 1, "w": 1.0} for i in range(1000)]
+    with pytest.raises(ValueError) as info:
+        instance_from_dict({"kind": "matching", "n": 2, "edges": edges})
+    assert str(info.value) == "edge at position 0 has id 1; ids must be 0..m-1 in order"
+
+
 def test_with_weights_replaces_and_validates_length():
     inst = matching_instance(2, [(0, 1, 1.0)])
     assert inst.with_weights([3.0]).weights == (3.0,)

@@ -68,6 +68,27 @@ def test_rounding_past_the_float_range_raises_value_error(call):
         call()
 
 
+def test_rounding_overflow_at_an_offset_and_the_core_allocator_scaling_past_it():
+    # the schedule of 1e308 at base 1.5 exists; some offset's level overflows
+    edge = matching_instance(2, [(0, 1, 1e308)])
+    with pytest.raises(ValueError, match="float range"):
+        integrate_matching(edge, edge.weights, 1.5)
+    assert matching_core_allocate(edge, edge.weights, 0.25).values == (5e307, 5e307)
+
+
+@pytest.mark.parametrize("base", [2.0, 1.5, 1.1, 1.02])
+def test_rounding_exponent_at_powers_of_the_base(base):
+    # one ulp below, at and above base**k: float log lands one off on many
+    # of these, on both sides, and the repair must restore the inequality
+    for k in range(-60, 60):
+        power = base**k
+        for w in (math.nextafter(power, 0.0), power, math.nextafter(power, math.inf)):
+            for b in (0.0, 0.3, 0.999, 1.0):
+                i = rounding_exponent(w, b, base)
+                assert base ** (i + b) <= w < base ** (i + 1 + b), (w, b)
+                assert breakpoints_matching((w,), base).at(b).exponents == (i,), (w, b)
+
+
 def test_greedy_hand_run_examples():
     trace = greedy_allocate(PATH3, PATH3.weights, 0.0, 2.0)
     assert trace.matching == (0,)
@@ -183,7 +204,7 @@ def test_raw_norm_upper_bound_and_coalition_lower_bound(seed):
         table = char_table(inst)
         for smask in range(1 << inst.n):
             S = agents_of(smask)
-            assert math.fsum(trace.raw[v] for v in S) >= table[smask] - 1e-9
+            assert math.fsum(trace.raw[v] for v in S) >= table.values[smask] - 1e-9
 
 
 @pytest.mark.parametrize("seed", range(8))

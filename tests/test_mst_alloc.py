@@ -43,7 +43,7 @@ def test_auxiliary_tree_hand_run():
     assert {tree.nodes[c].leaf for c in low.children} == {0, ROOT}
     assert {tree.nodes[c].leaf for c in high.children if tree.nodes[c].leaf is not None} == {1}
     assert low.id in high.children
-    assert tree.top == high.id
+    assert tree.nodes[-1] is high
 
 
 def test_auxiliary_tree_single_agent():
@@ -81,11 +81,12 @@ def test_tree_structure_invariants(seed):
     leaves = [nd for nd in tree.nodes if nd.leaf is not None]
     assert sorted(nd.leaf for nd in leaves) == sorted([ROOT] + list(range(inst.n)))
     assert all(nd.height == 0.0 for nd in leaves)
-    for parent_node, child in tree.parent_edges():
-        assert parent_node.height >= child.height
-        if child.leaf is None and child.height > 0:
-            # power-of-two rounding forces at least a doubling per level
-            assert parent_node.height >= 2 * child.height - 1e-9
+    for parent_node in tree.nodes:
+        for child in (tree.nodes[c] for c in parent_node.children):
+            assert parent_node.height >= child.height
+            if child.leaf is None and child.height > 0:
+                # power-of-two rounding forces at least a doubling per level
+                assert parent_node.height >= 2 * child.height - 1e-9
     for nd in tree.nodes:
         if nd.leaf is None:
             assert len(nd.children) >= 2

@@ -28,6 +28,10 @@ def test_weighted_path_matches_permutation_enumeration():
     assert result.values == pytest.approx(brute_shapley(inst, char_value))
 
 
+def test_no_agents_get_the_empty_allocation():
+    assert shapley_exact(matching_instance(0, [])).values == ()
+
+
 def test_single_agent_mst_gets_its_root_edge():
     inst = mst_instance(1, [(ROOT, 0, 2.5)])
     assert shapley_exact(inst).values == (2.5,)
