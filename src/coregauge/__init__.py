@@ -21,6 +21,7 @@ from .oracles import (
     char_table,
     char_value,
     coalition_values,
+    grand_matching_value,
     marginal_monotonicity_check,
     mask_of,
     max_weight_matching,

@@ -37,14 +37,21 @@ class CoreReport:
     passed: bool
 
     def to_dict(self) -> dict:
+        """The report as JSON data: a slack or residual beyond the float range
+        (from a relaxed bound past it) is None, JSON null. A NaN stays, and
+        JSON refuses it."""
         return {
             "alpha": self.alpha,
             "direction": self.direction,
             "worst_subset": list(self.worst_subset),
-            "worst_slack": self.worst_slack,
-            "grand_residual": self.grand_residual,
+            "worst_slack": _none_if_infinite(self.worst_slack),
+            "grand_residual": _none_if_infinite(self.grand_residual),
             "pass": self.passed,
         }
+
+
+def _none_if_infinite(x: float) -> float | None:
+    return None if math.isinf(x) else x
 
 
 def _subset_sums(values: Sequence) -> list:

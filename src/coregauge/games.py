@@ -25,9 +25,10 @@ class GameKind(Enum):
     MIN_SPANNING_TREE = "mst"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edge:
-    """Undirected edge; the id doubles as the tie-breaking index."""
+    """Undirected edge; the id doubles as the tie-breaking index. Slotted:
+    edges are the most numerous objects an instance holds."""
 
     id: int
     u: int

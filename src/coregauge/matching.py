@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .games import Allocation, GameInstance, GameKind
-from .oracles import coalition_values
+from .oracles import grand_matching_value
 from .rounding import breakpoints, offset_average, round_weights, within_rounding_range
 
 
@@ -37,10 +37,8 @@ def _greedy(inst: GameInstance, rounded: Sequence[float]) -> GreedyTrace:
     """Greedy maximal matching on the rounded weights, scanned by decreasing
     rounded weight with ties broken by increasing edge id; both endpoints
     of a matched edge receive its rounded weight."""
-    ranked = sorted(
-        (eid for eid in range(inst.m) if rounded[eid] > 0),
-        key=lambda eid: (-rounded[eid], eid),
-    )
+    # a stable sort keeps ids ascending among equal weights, reverse=True included
+    ranked = sorted([eid for eid in range(inst.m) if rounded[eid] > 0], key=rounded.__getitem__, reverse=True)
     covered = [False] * inst.n
     z = [0.0] * inst.n
     matched: list[int] = []
@@ -100,7 +98,7 @@ def matching_core_allocate(
     _require_matching(inst)
     if not 0.0 < epsilon <= 0.5:
         raise ValueError(f"epsilon must lie in (0, 1/2], got {epsilon}")
-    grand = float(coalition_values(inst, weights)[-1])  # refuses large n before the integral runs
+    grand = float(grand_matching_value(inst, weights))  # refuses large n before the integral runs
     raw = integrate_matching(inst, within_rounding_range(weights), 1.0 + 2.0 * epsilon)
     return normalize_welfare(raw, grand)
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import groupby
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .games import ROOT, Allocation, GameInstance, GameKind
 from .matching import normalize_welfare
@@ -49,8 +49,7 @@ def breakpoints_mst(weights: Sequence[float]) -> RoundingSchedule:
     return breakpoints(weights, MST_BASE)
 
 
-@dataclass(frozen=True)
-class TreeNode:
+class TreeNode(NamedTuple):
     id: int
     height: float
     children: tuple[int, ...]
@@ -97,8 +96,8 @@ def auxiliary_tree(inst: GameInstance, weights: Sequence[float]) -> AuxiliaryTre
     uf = _UnionFind(n + 1)
     node_of: dict[int, int] = {slot: slot for slot in range(n + 1)}
 
-    order = sorted(range(inst.m), key=lambda eid: (weights[eid], eid))
-    for level, batch in groupby(order, key=lambda eid: weights[eid]):
+    order = sorted(range(inst.m), key=weights.__getitem__)  # stable: ties by id
+    for level, batch in groupby(order, key=weights.__getitem__):
         if len(node_of) == 1:
             break
         ends = [_slots(inst.edges[eid], n) for eid in batch]

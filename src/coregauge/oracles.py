@@ -11,7 +11,7 @@ of the weights so that exact integer runs reuse the same code.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .games import ROOT, Edge, GameInstance, GameKind, perturb
 
@@ -40,6 +40,11 @@ def agents_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _refuse_past_limit(n: int) -> None:
+    if n > CHAR_TABLE_MAX_AGENTS:
+        raise ValueError(f"coalition enumeration is limited to {CHAR_TABLE_MAX_AGENTS} agents, got {n}")
+
+
 def coalition_values(inst: GameInstance, weights: Sequence) -> list:
     """Value of every agent subset, indexed by bitmask, in the numeric
     type of ``weights`` (floats, or ints for exact runs).
@@ -49,16 +54,11 @@ def coalition_values(inst: GameInstance, weights: Sequence) -> list:
     games run Kruskal once per mask over one presorted edge order.
     Refuses more than CHAR_TABLE_MAX_AGENTS agents.
     """
-    if inst.n > CHAR_TABLE_MAX_AGENTS:
-        raise ValueError(f"coalition enumeration is limited to {CHAR_TABLE_MAX_AGENTS} agents, got {inst.n}")
+    _refuse_past_limit(inst.n)
     size = 1 << inst.n
     values: list = [0] * size
     if inst.kind is GameKind.MATCHING:
-        adj: list[list[tuple[int, object]]] = [[] for _ in range(inst.n)]
-        for e in inst.edges:
-            if e.u != ROOT and e.v != ROOT:
-                adj[e.u].append((e.v, weights[e.id]))
-                adj[e.v].append((e.u, weights[e.id]))
+        adj = _adjacency(inst.edges, weights, range(inst.n))
         for mask in range(1, size):
             v = (mask & -mask).bit_length() - 1
             rest = mask ^ (1 << v)
@@ -71,31 +71,69 @@ def coalition_values(inst: GameInstance, weights: Sequence) -> list:
                         best = cand
             values[mask] = best
         return values
-    order = _sorted_edge_ids(inst, weights)
+    order = list(_kruskal_order(inst, weights))
     for smask in range(1, size):
-        values[smask] = _mst_value(inst, weights, smask, order)
+        values[smask] = _mst_value(order, smask, inst.n)
     return values
+
+
+def _adjacency(edges: Iterable[Edge], weights: Sequence, members: Sequence[int]) -> list:
+    """Neighbour lists of G[members] renumbered 0..len(members)-1, in
+    edge order, each entry (neighbour, weight)."""
+    local = {v: i for i, v in enumerate(members)}
+    adj: list[list[tuple[int, object]]] = [[] for _ in local]
+    for e in edges:
+        if e.u in local and e.v in local:
+            a, b, w = local[e.u], local[e.v], weights[e.id]
+            adj[a].append((b, w))
+            adj[b].append((a, w))
+    return adj
+
+
+def _matching_value(mask: int, adj: list, memo: dict):
+    """Value of ``mask`` by the recurrence of ``coalition_values``, with the
+    same additions and comparisons in the same order, evaluated only at
+    the masks the grand coalition reaches."""
+    got = memo.get(mask)
+    if got is not None:
+        return got
+    v = (mask & -mask).bit_length() - 1
+    rest = mask ^ (1 << v)
+    best = _matching_value(rest, adj, memo)
+    for u, w in adj[v]:
+        ubit = 1 << u
+        if rest & ubit:
+            cand = w + _matching_value(rest ^ ubit, adj, memo)
+            if cand > best:
+                best = cand
+    memo[mask] = best
+    return best
+
+
+def grand_matching_value(inst: GameInstance, weights: Sequence, members: Sequence[int] | None = None):
+    """``coalition_values(...)[-1]`` bit for bit, of G[members] (default:
+    every agent), without filling the other masks; the same agent limit."""
+    agents = range(inst.n) if members is None else members
+    _refuse_past_limit(len(agents))
+    adj = _adjacency(inst.edges, weights, agents)
+    return _matching_value((1 << len(adj)) - 1, adj, {0: 0})
 
 
 def max_weight_matching(inst: GameInstance, S: Iterable[int]) -> float:
     """Exact maximum matching weight of the subgraph induced by S.
 
-    Runs the subset DP of ``coalition_values`` on G[S] renumbered
-    0..|S|-1, so the work is 2^|S|, not 2^n, and the agent limit of
-    ``coalition_values`` applies to |S|.
+    Evaluates the subset DP of ``coalition_values`` on G[S] renumbered
+    0..|S|-1, so the work is at most 2^|S|, not 2^n, and the agent limit
+    of ``coalition_values`` applies to |S|.
     """
     if inst.kind is not GameKind.MATCHING:
         raise ValueError("max_weight_matching requires a matching game")
     if isinstance(S, range) and S == range(inst.n):  # the grand coalition: no set of n agents
-        return float(coalition_values(inst, inst.weights)[-1])
+        return float(grand_matching_value(inst, inst.weights))
     members = sorted(set(S))
     if any(not 0 <= v < inst.n for v in members):
         raise ValueError(f"subset {members} contains non-agent ids")
-    local = {v: i for i, v in enumerate(members)}
-    kept = [e for e in inst.edges if e.u in local and e.v in local]
-    edges = tuple([Edge(i, local[e.u], local[e.v]) for i, e in enumerate(kept)])
-    sub = GameInstance(inst.kind, len(members), edges, tuple([inst.weights[e.id] for e in kept]))
-    return float(coalition_values(sub, sub.weights)[-1])
+    return float(grand_matching_value(inst, inst.weights, members))
 
 
 class _UnionFind:
@@ -111,12 +149,10 @@ class _UnionFind:
             x = p[x]
         return x
 
-    def union(self, a: int, b: int) -> bool:
+    def union(self, a: int, b: int) -> None:
         ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[rb] = ra
-        return True
+        if ra != rb:
+            self.parent[rb] = ra
 
 
 def _slots(e: Edge, n: int) -> tuple[int, int]:
@@ -124,25 +160,36 @@ def _slots(e: Edge, n: int) -> tuple[int, int]:
     return (n if e.u == ROOT else e.u, n if e.v == ROOT else e.v)
 
 
-def _sorted_edge_ids(inst: GameInstance, weights: Sequence) -> list[int]:
-    return sorted(range(inst.m), key=lambda eid: (weights[eid], eid))
-
-
-def _mst_value(inst: GameInstance, weights: Sequence, smask: int, order: Sequence[int]):
-    """Spanning tree weight of G[S + root]: Kruskal takes edges from
-    ``order`` (edge ids sorted by weight, ties by id), sums them in the
-    order it takes them, and stops once it has |S| of them."""
+def _kruskal_order(inst: GameInstance, weights: Sequence) -> Iterator[tuple]:
+    """Edges sorted by weight, ties by id, each as (end mask, a, b, w):
+    a and b are the union-find slots of its ends, the supply vertex slot n.
+    Lazy, so that one Kruskal run prepares only the edges it reaches."""
     n = inst.n
+    for eid in sorted(range(inst.m), key=weights.__getitem__):  # stable: ties by id
+        a, b = _slots(inst.edges[eid], n)
+        yield 1 << a | 1 << b, a, b, weights[eid]
+
+
+def _mst_value(order: Iterable[tuple], smask: int, n: int):
+    """Spanning tree weight of G[S + root]: Kruskal takes edges from
+    ``order`` (see ``_kruskal_order``), sums them in the order it takes
+    them, and stops once it has |S| of them."""
     inside = smask | 1 << n  # the supply vertex is union-find slot n
     needed = smask.bit_count()
-    uf = _UnionFind(n + 1)
+    parent = list(range(n + 1))
     total = 0
-    for eid in order:
+    for ends, a, b, w in order:
         if not needed:
             break
-        a, b = _slots(inst.edges[eid], n)
-        if (inside >> a) & (inside >> b) & 1 and uf.union(a, b):
-            total = total + weights[eid]
+        if ends & inside != ends:
+            continue
+        while parent[a] != a:  # path halving
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a != b:
+            parent[b] = a
+            total = total + w
             needed -= 1
     if needed:
         raise ValueError("induced subgraph is not connected through the root")
@@ -156,7 +203,7 @@ def mst_weight(inst: GameInstance, S: Iterable[int]) -> float:
     smask = mask_of(S)
     if smask >> inst.n:
         raise ValueError("subset contains non-agent ids")
-    return float(_mst_value(inst, inst.weights, smask, _sorted_edge_ids(inst, inst.weights)))
+    return float(_mst_value(_kruskal_order(inst, inst.weights), smask, inst.n))
 
 
 def char_value(inst: GameInstance, S: Iterable[int]) -> float:

@@ -71,32 +71,58 @@ class RoundingSchedule:
 
     def at(self, b: float) -> RoundedWeights:
         """Exponents and rounded weights at offset ``b``."""
-        if not 0.0 <= b <= 1.0:
-            raise ValueError(f"offset must lie in [0, 1], got {b}")
-        starts = {i for i in self.start_exponents if i is not None}
-        try:
-            levels = {k: self.base ** (k + b) for i in starts for k in (i, i + 1)}
-        except OverflowError:
-            raise ValueError(_BEYOND_FLOAT_RANGE) from None
-        # tuple([...]) is built at its exact size; tuple(<generator>) grows by
-        # resizing, which leaves CPython's per-size tuple freelists full
-        exponents = tuple([
-            i if i is None or levels[i] <= w else i - 1
-            for w, i in zip(self.weights, self.start_exponents)
-        ])
-        rounded = tuple([0.0 if i is None else levels[i + 1] for i in exponents])
-        return RoundedWeights(exponents, rounded)
+        return _round_at(self.base, self.weights, self.start_exponents, b)
 
 
-def breakpoints(weights: Sequence[float], base: float) -> RoundingSchedule:
-    """The rounding schedule of ``weights``: the offsets at which some
-    edge's rounding exponent changes, and each exponent at offset 0.
-    Zero weights contribute no breakpoint; fractional logs within
-    BREAKPOINT_TOL of each other or of the endpoints are merged."""
+def _level_keys(start_exponents: Sequence[int | None]) -> set[int]:
+    """The exponents k whose level base**(k + b) some weight can round to or
+    be compared with: each start exponent and the one above it."""
+    return {k for i in start_exponents if i is not None for k in (i, i + 1)}
+
+
+def _levels(base: float, keys: set[int], b: float) -> dict:
+    """base**(k + b) for each key, and 0.0 under None, the level of a zero weight."""
+    try:
+        levels: dict = {k: base ** (k + b) for k in keys}
+    except OverflowError:
+        raise ValueError(_BEYOND_FLOAT_RANGE) from None
+    levels[None] = 0.0
+    return levels
+
+
+def _snap(weights: Sequence[float], start_exponents: Sequence[int | None], levels: dict, out: dict) -> list:
+    """The rounding rule at one offset, written once. A positive weight with
+    start exponent i keeps it while levels[i] = base**(i + b) <= w and has
+    exponent i - 1 after; it rounds up to the level k = exponent + 1. Each
+    weight reports ``out[k]``, or ``out[None]`` when it is zero."""
+    return [
+        out[None] if i is None else out[i + 1] if levels[i] <= w else out[i]
+        for w, i in zip(weights, start_exponents)
+    ]
+
+
+def _round_at(
+    base: float, weights: Sequence[float], start_exponents: Sequence[int | None], b: float
+) -> RoundedWeights:
+    if not 0.0 <= b <= 1.0:
+        raise ValueError(f"offset must lie in [0, 1], got {b}")
+    keys = _level_keys(start_exponents)
+    levels = _levels(base, keys, b)
+    exponent_of: dict = {k: k - 1 for k in keys}
+    exponent_of[None] = None
+    # tuple(<list>) is built at its exact size; tuple(<generator>) grows by
+    # resizing, which leaves CPython's per-size tuple freelists full
+    return RoundedWeights(
+        tuple(_snap(weights, start_exponents, levels, exponent_of)),
+        tuple(_snap(weights, start_exponents, levels, levels)),
+    )
+
+
+def _start_exponents(weights: Sequence[float], base: float) -> list[int | None]:
+    """Each weight's rounding exponent at offset 0, None for a zero weight."""
     if not 1.0 < base <= 2.0:
         raise ValueError(f"base must lie in (1, 2], got {base}")
     exponents: list[int | None] = []
-    interior = set()
     for w in weights:
         if w < 0:
             raise ValueError(f"negative weight {w}")
@@ -104,13 +130,24 @@ def breakpoints(weights: Sequence[float], base: float) -> RoundingSchedule:
             exponents.append(None)
             continue
         try:
-            i = rounding_exponent(w, 0.0, base)
+            exponents.append(rounding_exponent(w, 0.0, base))
         except OverflowError:
             raise ValueError(_BEYOND_FLOAT_RANGE) from None
-        exponents.append(i)
-        frac = math.log(w, base) - i
-        if BREAKPOINT_TOL < frac < 1.0 - BREAKPOINT_TOL:
-            interior.add(frac)
+    return exponents
+
+
+def breakpoints(weights: Sequence[float], base: float) -> RoundingSchedule:
+    """The rounding schedule of ``weights``: the offsets at which some
+    edge's rounding exponent changes, and each exponent at offset 0.
+    Zero weights contribute no breakpoint; fractional logs within
+    BREAKPOINT_TOL of each other or of the endpoints are merged."""
+    exponents = _start_exponents(weights, base)
+    interior = set()
+    for w, i in zip(weights, exponents):
+        if i is not None:
+            frac = math.log(w, base) - i
+            if BREAKPOINT_TOL < frac < 1.0 - BREAKPOINT_TOL:
+                interior.add(frac)
     points = [0.0]
     for t in sorted(interior):
         if t - points[-1] > BREAKPOINT_TOL:
@@ -120,12 +157,13 @@ def breakpoints(weights: Sequence[float], base: float) -> RoundingSchedule:
 
 
 def round_weights(weights: Sequence[float], b: float, base: float) -> RoundedWeights:
-    """Snap each positive weight up to the next base**(i+1+b) level."""
-    return breakpoints(weights, base).at(b)
+    """Snap each positive weight up to the next base**(i+1+b) level: the
+    rounding of ``breakpoints(weights, base).at(b)``, without its breakpoints."""
+    return _round_at(base, weights, _start_exponents(weights, base), b)
 
 
 def offset_average(
-    schedule: RoundingSchedule, rule: Callable[[tuple[float, ...]], Sequence[float]]
+    schedule: RoundingSchedule, rule: Callable[[Sequence[float]], Sequence[float]]
 ) -> Allocation:
     """Exact average over offsets b in [0, 1] of ``rule(rounded weights at b)``.
 
@@ -136,11 +174,14 @@ def offset_average(
     """
     base = schedule.base
     log_base = math.log(base)
+    weights, starts = schedule.weights, schedule.start_exponents
+    keys = _level_keys(starts)
     total: list[float] = []
     for lo, hi in schedule.intervals():
         mid = (lo + hi) / 2.0
         factor = (base ** (hi - mid) - base ** (lo - mid)) / log_base
-        part = [x * factor for x in rule(schedule.at(mid).rounded)]
+        levels = _levels(base, keys, mid)
+        part = [x * factor for x in rule(_snap(weights, starts, levels, levels))]
         # a running sum in interval order: from Python 3.12 sum() compensates floats
         total = [t + x for t, x in zip(total, part)] if total else part
     return Allocation.of(total)

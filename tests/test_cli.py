@@ -174,6 +174,26 @@ def test_core_check_with_alpha_times_value_beyond_the_float_range(runner, tmp_pa
     assert result.stderr.startswith("core check pass")
 
 
+def test_core_check_writes_an_infinite_worst_slack_as_null(runner, tmp_path):
+    # alpha 4 times a singleton's cost of 1e308 is past the float range, so
+    # every proper coalition's slack is inf; the verdict is a pass
+    path = tmp_path / "huge.json"
+    dump_instance(mst_instance(2, [(ROOT, 0, 1e308), (ROOT, 1, 1e308), (0, 1, 3.3e307)]), str(path))
+    alloc_path = tmp_path / "alloc.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        allocated = invoke(runner, ["allocate", str(path)])
+        assert allocated.exit_code == 0
+        alloc_path.write_text(allocated.stdout)
+        result = invoke(runner, ["core-check", str(path), str(alloc_path), "--alpha", "4"])
+    assert result.exit_code == 0, result.output
+    payload = payload_of(result)
+    assert payload["worst_slack"] is None
+    assert payload["grand_residual"] == 0.0
+    assert payload["pass"] is True
+    assert result.stderr.startswith("core check pass: worst slack inf")
+
+
 def test_core_check_with_a_nan_slack_exits_two_without_a_warning(runner, tmp_path):
     # the pair {0, 1} is allocated inf and costs inf: its slack is NaN
     path = tmp_path / "huge.json"
@@ -419,6 +439,7 @@ def test_unwritable_outputs_and_unreadable_allocations_exit_two(runner, tmp_path
 
 
 ONE_EDGE_OF_100 = matching_instance(100, [(0, 1, 1.0)])
+TWO_EDGES_OF_21 = matching_instance(21, [(0, 1, 1.0), (19, 20, 2.0)])
 
 
 @pytest.mark.parametrize(
@@ -428,12 +449,13 @@ ONE_EDGE_OF_100 = matching_instance(100, [(0, 1, 1.0)])
 )
 def test_coalition_enumeration_past_twenty_agents_exits_two(runner, tmp_path, args):
     path = tmp_path / "wide.json"
-    dump_instance(ONE_EDGE_OF_100, str(path))
-    start = time.perf_counter()
-    result = runner.invoke(main, [args[0], str(path), *args[1:]])
-    assert time.perf_counter() - start < 20.0
-    expect_input_error(result, "limited to 20 agents")
-    assert len(result.stderr.splitlines()) == 1
+    for inst in (ONE_EDGE_OF_100, TWO_EDGES_OF_21):
+        dump_instance(inst, str(path))
+        start = time.perf_counter()
+        result = runner.invoke(main, [args[0], str(path), *args[1:]])
+        assert time.perf_counter() - start < 20.0
+        expect_input_error(result, f"coalition enumeration is limited to 20 agents, got {inst.n}")
+        assert len(result.stderr.splitlines()) == 1
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from coregauge.games import ROOT, GameKind, perturb
 from coregauge.instances import gen_path_uniform, gen_random
+from coregauge.matching import matching_core_allocate
 from coregauge.oracles import (
     agents_of,
     char_table,
@@ -91,6 +92,13 @@ def test_matching_oracles_enumerate_at_most_twenty_agents():
     with pytest.raises(ValueError, match="limited to 20 agents"):
         max_weight_matching(wide, range(21))
     assert max_weight_matching(wide, [0, 1]) == 1.0
+    wide = matching_instance(21, [(0, 1, 1.0), (19, 20, 2.0)])
+    message = "coalition enumeration is limited to 20 agents, got 21"
+    with pytest.raises(ValueError, match=message):
+        max_weight_matching(wide, range(21))
+    with pytest.raises(ValueError, match=message):
+        matching_core_allocate(wide, wide.weights, 0.25)
+    assert max_weight_matching(wide, range(20)) == 1.0
 
 
 def test_mask_round_trip():
