@@ -37,21 +37,21 @@ class CoreReport:
     passed: bool
 
     def to_dict(self) -> dict:
-        """The report as JSON data: a slack or residual beyond the float range
-        (from a relaxed bound past it) is None, JSON null. A NaN stays, and
-        JSON refuses it."""
+        """The report as JSON data: a slack or residual that is not finite
+        (beyond the float range from a relaxed bound past it, or NaN from
+        an infinite allocation against an infinite cost) is None, JSON null."""
         return {
             "alpha": self.alpha,
             "direction": self.direction,
             "worst_subset": list(self.worst_subset),
-            "worst_slack": _none_if_infinite(self.worst_slack),
-            "grand_residual": _none_if_infinite(self.grand_residual),
+            "worst_slack": _none_if_not_finite(self.worst_slack),
+            "grand_residual": _none_if_not_finite(self.grand_residual),
             "pass": self.passed,
         }
 
 
-def _none_if_infinite(x: float) -> float | None:
-    return None if math.isinf(x) else x
+def _none_if_not_finite(x: float) -> float | None:
+    return x if math.isfinite(x) else None
 
 
 def _subset_sums(values: Sequence) -> list:

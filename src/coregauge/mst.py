@@ -18,11 +18,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import groupby
+from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 from .games import ROOT, Allocation, GameInstance, GameKind
 from .matching import normalize_welfare
-from .oracles import _slots, _UnionFind, mask_of
+from .oracles import _kruskal_order, mask_of
 from .rounding import (
     RoundedWeights,
     RoundingSchedule,
@@ -82,41 +83,47 @@ class AuxiliaryTree:
 def auxiliary_tree(inst: GameInstance, weights: Sequence[float]) -> AuxiliaryTree:
     """Merge dendrogram of Kruskal's algorithm on the given weights.
 
-    Equal weights are added simultaneously; every component created by
-    such a batch becomes one node whose children are the components it
-    swallowed. Equal rounding exponents give bit-identical rounded
-    weights, so the batches are formed by exact equality. The nodes of
-    one batch are numbered in the order of their smallest child, so node
-    ids depend only on the components, not on the edges that formed them.
+    The edges come from the oracle's one Kruskal order (``_kruskal_order``)
+    and join components by path-halving union-find, as ``_mst_value``
+    does. Equal weights are added simultaneously; every component created
+    by such a batch becomes one node whose children, ascending, are the
+    components it swallowed. Equal rounding exponents give bit-identical
+    rounded weights, so the batches are formed by exact equality. The
+    nodes of one batch are numbered in the order of their smallest child,
+    so node ids depend only on the components, not on the edges that
+    formed them. The build stops after the n merges that connect the graph.
     """
     _require_mst(inst)
     n = inst.n
     nodes = [TreeNode(v, 0.0, (), v, 1 << v, False) for v in range(n)]
     nodes.append(TreeNode(n, 0.0, (), ROOT, 0, True))
-    uf = _UnionFind(n + 1)
-    node_of: dict[int, int] = {slot: slot for slot in range(n + 1)}
-
-    order = sorted(range(inst.m), key=weights.__getitem__)  # stable: ties by id
-    for level, batch in groupby(order, key=weights.__getitem__):
-        if len(node_of) == 1:
+    parent = list(range(n + 1))  # union-find slots; the supply vertex is slot n
+    node_of = list(range(n + 1))  # dendrogram node of each union-find root
+    merges = n
+    for level, batch in groupby(_kruskal_order(inst, weights), key=itemgetter(3)):
+        if not merges:
             break
-        ends = [_slots(inst.edges[eid], n) for eid in batch]
-        touched = {uf.find(x) for pair in ends for x in pair}
-        for a, b in ends:
-            uf.union(a, b)
-        clusters: dict[int, list[int]] = {}
-        for old in sorted(touched, key=node_of.__getitem__):  # clusters by smallest child
-            clusters.setdefault(uf.find(old), []).append(old)
-        for new_root, olds in clusters.items():
-            if len(olds) < 2:
-                continue
-            child_ids = [node_of.pop(o) for o in olds]  # ascending
-            mask = sum(nodes[c].agent_mask for c in child_ids)  # disjoint subtrees
-            supply = any(nodes[c].has_supply for c in child_ids)
+        absorbed: dict[int, list[int]] = {}  # surviving root -> child nodes
+        for _, a, b, _ in batch:
+            while parent[a] != a:  # path halving
+                parent[a] = a = parent[parent[a]]
+            while parent[b] != b:
+                parent[b] = b = parent[parent[b]]
+            if a != b:
+                parent[b] = a
+                kids = absorbed.setdefault(a, [node_of[a]])
+                kids += absorbed.pop(b, None) or [node_of[b]]
+                merges -= 1
+        if not absorbed:
+            continue
+        # disjoint sorted lists compare by their smallest child
+        for kids, root in sorted((sorted(kids), root) for root, kids in absorbed.items()):
             nid = len(nodes)
-            nodes.append(TreeNode(nid, level, tuple(child_ids), None, mask, supply))
-            node_of[new_root] = nid
-    if len(node_of) != 1:
+            mask = sum(nodes[c].agent_mask for c in kids)  # disjoint subtrees
+            supply = any(nodes[c].has_supply for c in kids)
+            nodes.append(TreeNode(nid, level, tuple(kids), None, mask, supply))
+            node_of[root] = nid
+    if merges:
         raise ValueError("graph is not connected; cannot build the merge dendrogram")
     return AuxiliaryTree(tuple(nodes))
 

@@ -136,37 +136,15 @@ def max_weight_matching(inst: GameInstance, S: Iterable[int]) -> float:
     return float(grand_matching_value(inst, inst.weights, members))
 
 
-class _UnionFind:
-    __slots__ = ("parent",)
-
-    def __init__(self, size: int) -> None:
-        self.parent = list(range(size))
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-
-def _slots(e: Edge, n: int) -> tuple[int, int]:
-    """Union-find slots of an edge's endpoints; the supply vertex is slot n."""
-    return (n if e.u == ROOT else e.u, n if e.v == ROOT else e.v)
-
-
 def _kruskal_order(inst: GameInstance, weights: Sequence) -> Iterator[tuple]:
     """Edges sorted by weight, ties by id, each as (end mask, a, b, w):
     a and b are the union-find slots of its ends, the supply vertex slot n.
     Lazy, so that one Kruskal run prepares only the edges it reaches."""
     n = inst.n
     for eid in sorted(range(inst.m), key=weights.__getitem__):  # stable: ties by id
-        a, b = _slots(inst.edges[eid], n)
+        e = inst.edges[eid]
+        a = n if e.u == ROOT else e.u
+        b = n if e.v == ROOT else e.v
         yield 1 << a | 1 << b, a, b, weights[eid]
 
 

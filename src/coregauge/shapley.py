@@ -64,9 +64,9 @@ def shapley_sample(inst: GameInstance, permutations: int, seed: int) -> Allocati
             if cur is None:
                 cur = char_value(inst, agents_of(mask))
                 cache[mask] = cur
-            acc[v] += cur - prev
+            acc[v] += (cur - prev) / permutations  # a sum of undivided marginals may overflow
             prev = cur
-    return Allocation.of(acc / permutations)
+    return Allocation.of(acc)
 
 
 def matching_lower_bound_value(n: int, delta: float) -> float:

@@ -194,7 +194,7 @@ def test_core_check_writes_an_infinite_worst_slack_as_null(runner, tmp_path):
     assert result.stderr.startswith("core check pass: worst slack inf")
 
 
-def test_core_check_with_a_nan_slack_exits_two_without_a_warning(runner, tmp_path):
+def test_core_check_with_a_nan_slack_exits_one_with_a_null_slack(runner, tmp_path):
     # the pair {0, 1} is allocated inf and costs inf: its slack is NaN
     path = tmp_path / "huge.json"
     dump_instance(mst_instance(3, [(ROOT, v, 1e308) for v in range(3)]), str(path))
@@ -203,7 +203,10 @@ def test_core_check_with_a_nan_slack_exits_two_without_a_warning(runner, tmp_pat
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         result = invoke(runner, ["core-check", str(path), str(alloc_path), "--alpha", "1"])
-    assert result.exit_code == 2
+    assert result.exit_code == 1
+    payload = payload_of(result)
+    assert payload["worst_slack"] is None
+    assert payload["pass"] is False
     assert len(result.stderr.splitlines()) == 1
 
 
@@ -290,6 +293,28 @@ def test_shapley_output_feeds_core_check(runner, tmp_path, kind, alpha):
     check = runner.invoke(main, ["core-check", str(path), str(values_path), "--alpha", alpha])
     assert check.exit_code in (0, 1), check.output  # a verdict, not bad input
     assert payload_of(check)["pass"] is (check.exit_code == 0)
+
+
+HUGE_SAMPLED_GAMES = {  # kind: (game, grand value)
+    "matching": (matching_instance(2, [(0, 1, 1e307)]), 1e307),
+    "tree": (mst_instance(3, [(ROOT, v, 1e307) for v in range(3)] + [(0, 1, 1e307)]), 3e307),
+}
+
+
+@pytest.mark.parametrize("kind", HUGE_SAMPLED_GAMES)
+def test_shapley_sample_command_on_huge_weights_exits_zero(runner, tmp_path, kind):
+    # at the default 10,000 orderings an undivided sum of marginals overflows
+    inst, grand = HUGE_SAMPLED_GAMES[kind]
+    path = tmp_path / "huge.json"
+    dump_instance(inst, str(path))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = invoke(runner, ["shapley", str(path), "--method", "sample"])
+    assert result.exit_code == 0
+    assert len(result.stderr.splitlines()) == 1
+    values = payload_of(result)["allocation"].values()
+    assert all(math.isfinite(x) for x in values)
+    assert math.fsum(values) == pytest.approx(grand, rel=1e-9)
 
 
 def test_shapley_sample_command_is_seeded(runner, tmp_path):

@@ -170,6 +170,55 @@ def test_offset_dendrogram_equals_the_whole_graph_dendrogram(seed):
         assert offset_dendrogram(inst, inst.weights, b).to_dict() == whole.to_dict()
 
 
+def _reference_dendrogram(inst, weights) -> dict:
+    """The documented dendrogram, built from scratch: the components at
+    each distinct weight come from a plain union-find over every edge up
+    to that weight; a component new at a level is a node whose children,
+    ascending, are the components it contains from the level below, and
+    the new nodes of one level are numbered by their smallest child."""
+    n = inst.n
+    nodes = [{"id": v, "h": 0.0, "children": [], "leaf": v} for v in range(n)]
+    nodes.append({"id": n, "h": 0.0, "children": [], "leaf": ROOT})
+    node_of = {frozenset([x]): x for x in range(n + 1)}  # component -> node id; supply is n
+    for level in sorted(set(weights)):
+        if len(node_of) == 1:
+            break
+        parent = list(range(n + 1))
+
+        def find(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        for e, w in zip(inst.edges, weights):
+            if w <= level:
+                parent[find(n if e.u == ROOT else e.u)] = find(n if e.v == ROOT else e.v)
+        comps: dict[int, set[int]] = {}
+        for x in range(n + 1):
+            comps.setdefault(find(x), set()).add(x)
+        components = [frozenset(c) for c in comps.values()]
+        new = [
+            (sorted(node_of[old] for old in node_of if old <= comp), comp)
+            for comp in components
+            if comp not in node_of
+        ]
+        for children, comp in sorted(new, key=lambda item: item[0]):
+            node_of[comp] = len(nodes)
+            nodes.append({"id": len(nodes), "h": level, "children": children, "leaf": None})
+        node_of = {comp: node_of[comp] for comp in components}
+    return {"nodes": nodes}
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_dendrogram_numbering_matches_a_from_scratch_reference(n):
+    # integer weights 0-4 give ties and zeros, so levels merge several components
+    rng = np.random.default_rng(7000 + n)
+    for seed in range(25):
+        inst = gen_random(GameKind.MIN_SPANNING_TREE, n, float(rng.uniform(0.2, 1.0)), 10.0, seed)
+        weights = tuple(float(w) for w in rng.integers(0, 5, size=inst.m))
+        assert auxiliary_tree(inst, weights).to_dict() == _reference_dendrogram(inst, weights)
+
+
 def test_offset_dendrogram_ignores_a_heavy_non_tree_edge():
     heavy = mst_instance(2, [(ROOT, 0, 1.0), (ROOT, 1, 3.0), (0, 1, 1.7e308)])
     light = heavy.with_weights((1.0, 3.0, 5.0))

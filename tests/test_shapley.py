@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -110,6 +111,24 @@ def test_sampler_efficiency_holds_per_sample(seed):
     for k in (1, 7):
         result = shapley_sample(inst, k, seed=seed)
         assert result.total() == pytest.approx(grand, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "inst",
+    [
+        matching_instance(2, [(0, 1, 1e307)]),
+        mst_instance(3, [(ROOT, v, 1e307) for v in range(3)] + [(0, 1, 1e307)]),
+    ],
+    ids=["matching", "tree"],
+)
+def test_sampler_stays_finite_on_huge_weights(inst):
+    # 50 orderings of marginals near 1e307 sum past the float range undivided
+    grand = char_value(inst, range(inst.n))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = shapley_sample(inst, 50, seed=0)
+    assert all(math.isfinite(x) for x in result.values)
+    assert result.total() == pytest.approx(grand, rel=1e-12)
 
 
 def test_sampler_is_reproducible():
