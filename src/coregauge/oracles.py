@@ -161,7 +161,8 @@ def _mst_value(order: Iterable[tuple], smask: int, n: int):
             break
         if ends & inside != ends:
             continue
-        while parent[a] != a:  # path halving
+        # path halving; mst.auxiliary_tree joins its components the same way
+        while parent[a] != a:
             parent[a] = a = parent[parent[a]]
         while parent[b] != b:
             parent[b] = b = parent[parent[b]]

@@ -51,6 +51,12 @@ def shapley_sample(inst: GameInstance, permutations: int, seed: int) -> Allocati
     n = inst.n
     rng = np.random.default_rng(seed)
     acc = np.zeros(n)
+    # coalition values stay below m * max weight < 2**(e + m.bit_length()),
+    # so the sum of `permutations` marginals could pass the float range;
+    # scale them down by a power of two, which is exact, and only as far as
+    # that bound needs, so that subnormal weights keep their precision
+    e = math.frexp(max(inst.weights, default=0.0))[1]
+    shift = max(0, e + inst.m.bit_length() + permutations.bit_length() + 1 - 1024)
     # every ordering ends at the grand coalition: its value first, so that
     # a game past the oracle's agent limit is refused before any prefix runs
     cache: dict[int, float] = {(1 << n) - 1: char_value(inst, range(n)), 0: 0.0}
@@ -64,9 +70,9 @@ def shapley_sample(inst: GameInstance, permutations: int, seed: int) -> Allocati
             if cur is None:
                 cur = char_value(inst, agents_of(mask))
                 cache[mask] = cur
-            acc[v] += (cur - prev) / permutations  # a sum of undivided marginals may overflow
+            acc[v] += math.ldexp(cur - prev, -shift)
             prev = cur
-    return Allocation.of(acc)
+    return Allocation.of(np.ldexp(acc / permutations, shift))
 
 
 def matching_lower_bound_value(n: int, delta: float) -> float:

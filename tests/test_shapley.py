@@ -131,6 +131,24 @@ def test_sampler_stays_finite_on_huge_weights(inst):
     assert result.total() == pytest.approx(grand, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "inst",
+    [
+        matching_instance(2, [(0, 1, 1e-320)]),
+        mst_instance(3, [(ROOT, v, 1e-320) for v in range(3)] + [(0, 1, 1e-320)]),
+    ],
+    ids=["matching", "tree"],
+)
+def test_sampler_keeps_subnormal_weights(inst):
+    # a marginal of 1e-320 divided by 10,000 orderings rounds to zero, so
+    # the sampler must divide the sum, not each marginal
+    grand = char_value(inst, range(inst.n))
+    result = shapley_sample(inst, 10_000, seed=0)
+    assert all(x > 0 for x in result.values)
+    # each value is rounded once, by at most half a unit in the last place
+    assert abs(result.total() - grand) <= inst.n * math.ulp(grand) / 2
+
+
 def test_sampler_is_reproducible():
     inst = gen_random(GameKind.MATCHING, 6, 0.5, 10.0, 3)
     a = shapley_sample(inst, 500, seed=42)
