@@ -39,15 +39,13 @@ def _greedy(inst: GameInstance, rounded: Sequence[float]) -> GreedyTrace:
     of a matched edge receive its rounded weight."""
     # a stable sort keeps ids ascending among equal weights, reverse=True included
     ranked = sorted([eid for eid in range(inst.m) if rounded[eid] > 0], key=rounded.__getitem__, reverse=True)
-    covered = [False] * inst.n
+    # every scanned weight is positive, so z is nonzero exactly at the covered vertices
     z = [0.0] * inst.n
     matched: list[int] = []
     for eid in ranked:
         e = inst.edges[eid]
-        if not covered[e.u] and not covered[e.v]:
+        if not z[e.u] and not z[e.v]:
             matched.append(eid)
-            covered[e.u] = True
-            covered[e.v] = True
             z[e.u] = rounded[eid]
             z[e.v] = rounded[eid]
     return GreedyTrace(tuple(matched), tuple(z))

@@ -36,13 +36,10 @@ def rounding_exponent(w: float, b: float, base: float) -> int:
 
 @dataclass(frozen=True)
 class RoundedWeights:
-    """Rounded weight vector at one offset.
+    """Rounded weight vector at one offset: ``rounded[e]`` is
+    base**(i + 1 + b) for the rounding exponent i of a positive weight,
+    and 0.0 for a zero weight."""
 
-    ``exponents[e]`` is None exactly when the input weight is zero, in
-    which case the rounded weight is zero as well.
-    """
-
-    exponents: tuple[int | None, ...]
     rounded: tuple[float, ...]
 
 
@@ -69,10 +66,6 @@ class RoundingSchedule:
     def midpoints(self) -> list[float]:
         return [(lo + hi) / 2.0 for lo, hi in self.intervals()]
 
-    def at(self, b: float) -> RoundedWeights:
-        """Exponents and rounded weights at offset ``b``."""
-        return _round_at(self.base, self.weights, self.start_exponents, b)
-
 
 def _level_keys(start_exponents: Sequence[int | None]) -> set[int]:
     """The exponents k whose level base**(k + b) some weight can round to or
@@ -81,41 +74,22 @@ def _level_keys(start_exponents: Sequence[int | None]) -> set[int]:
 
 
 def _levels(base: float, keys: set[int], b: float) -> dict:
-    """base**(k + b) for each key, and 0.0 under None, the level of a zero weight."""
+    """base**(k + b) for each key."""
     try:
-        levels: dict = {k: base ** (k + b) for k in keys}
+        return {k: base ** (k + b) for k in keys}
     except OverflowError:
         raise ValueError(_BEYOND_FLOAT_RANGE) from None
-    levels[None] = 0.0
-    return levels
 
 
-def _snap(weights: Sequence[float], start_exponents: Sequence[int | None], levels: dict, out: dict) -> list:
+def _snap(weights: Sequence[float], start_exponents: Sequence[int | None], levels: dict) -> list:
     """The rounding rule at one offset, written once. A positive weight with
     start exponent i keeps it while levels[i] = base**(i + b) <= w and has
-    exponent i - 1 after; it rounds up to the level k = exponent + 1. Each
-    weight reports ``out[k]``, or ``out[None]`` when it is zero."""
+    exponent i - 1 after; it rounds up to levels[exponent + 1]. A zero
+    weight rounds to 0.0."""
     return [
-        out[None] if i is None else out[i + 1] if levels[i] <= w else out[i]
+        0.0 if i is None else levels[i + 1] if levels[i] <= w else levels[i]
         for w, i in zip(weights, start_exponents)
     ]
-
-
-def _round_at(
-    base: float, weights: Sequence[float], start_exponents: Sequence[int | None], b: float
-) -> RoundedWeights:
-    if not 0.0 <= b <= 1.0:
-        raise ValueError(f"offset must lie in [0, 1], got {b}")
-    keys = _level_keys(start_exponents)
-    levels = _levels(base, keys, b)
-    exponent_of: dict = {k: k - 1 for k in keys}
-    exponent_of[None] = None
-    # tuple(<list>) is built at its exact size; tuple(<generator>) grows by
-    # resizing, which leaves CPython's per-size tuple freelists full
-    return RoundedWeights(
-        tuple(_snap(weights, start_exponents, levels, exponent_of)),
-        tuple(_snap(weights, start_exponents, levels, levels)),
-    )
 
 
 def _start_exponents(weights: Sequence[float], base: float) -> list[int | None]:
@@ -157,9 +131,15 @@ def breakpoints(weights: Sequence[float], base: float) -> RoundingSchedule:
 
 
 def round_weights(weights: Sequence[float], b: float, base: float) -> RoundedWeights:
-    """Snap each positive weight up to the next base**(i+1+b) level: the
-    rounding of ``breakpoints(weights, base).at(b)``, without its breakpoints."""
-    return _round_at(base, weights, _start_exponents(weights, base), b)
+    """Snap each positive weight up to base**(i + 1 + b), where i is its
+    ``rounding_exponent`` at offset ``b``; a zero weight stays 0.0."""
+    starts = _start_exponents(weights, base)
+    if not 0.0 <= b <= 1.0:
+        raise ValueError(f"offset must lie in [0, 1], got {b}")
+    levels = _levels(base, _level_keys(starts), b)
+    # tuple(<list>) is built at its exact size; tuple(<generator>) grows by
+    # resizing, which leaves CPython's per-size tuple freelists full
+    return RoundedWeights(tuple(_snap(weights, starts, levels)))
 
 
 def offset_average(
@@ -181,7 +161,7 @@ def offset_average(
         mid = (lo + hi) / 2.0
         factor = (base ** (hi - mid) - base ** (lo - mid)) / log_base
         levels = _levels(base, keys, mid)
-        part = [x * factor for x in rule(_snap(weights, starts, levels, levels))]
+        part = [x * factor for x in rule(_snap(weights, starts, levels))]
         # a running sum in interval order: from Python 3.12 sum() compensates floats
         total = [t + x for t, x in zip(total, part)] if total else part
     return Allocation.of(total)
@@ -205,12 +185,13 @@ def differing_offset_measure(w_before: float, w_after: float, base: float) -> fl
     """Total length of offsets b at which the two weights round differently.
 
     Computed from the common rounding schedule of both weights by
-    comparing their exponents at each sub-interval midpoint.
+    comparing their rounded values at each sub-interval midpoint: distinct
+    exponents round to distinct levels.
     """
-    schedule = breakpoints((w_before, w_after), base)
+    pair = (w_before, w_after)
     total = 0.0
-    for lo, hi in schedule.intervals():
-        first, second = schedule.at((lo + hi) / 2.0).exponents
+    for lo, hi in breakpoints(pair, base).intervals():
+        first, second = round_weights(pair, (lo + hi) / 2.0, base).rounded
         if first != second:
             total += hi - lo
     return total

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from coregauge.games import ROOT, Edge, GameInstance, GameKind
 from coregauge.matching import greedy_allocate, integrate_matching
 from coregauge.oracles import coalition_values, grand_matching_value, max_weight_matching
-from coregauge.rounding import breakpoints, offset_average, round_weights
+from coregauge.rounding import breakpoints, offset_average, round_weights, rounding_exponent
 
 WEIGHT_POOLS = {
     "distinct": lambda rng: rng.uniform(0.0, 10.0),
@@ -143,7 +143,7 @@ def reference_offset_average(schedule, rule):
     for lo, hi in schedule.intervals():
         mid = (lo + hi) / 2.0
         factor = (schedule.base ** (hi - mid) - schedule.base ** (lo - mid)) / math.log(schedule.base)
-        part = [x * factor for x in rule(schedule.at(mid).rounded)]
+        part = [x * factor for x in rule(round_weights(schedule.weights, mid, schedule.base).rounded)]
         total = part if total is None else [t + x for t, x in zip(total, part)]
     return tuple(total or [])
 
@@ -162,10 +162,36 @@ def test_offset_average_rounds_each_interval_as_the_schedule_does(pool, base):
 
 def rounding_outcome(call):
     try:
-        rounded = call()
+        return call()
     except ValueError as exc:
         return "ValueError", str(exc)
-    return rounded.exponents, rounded.rounded
+
+
+def defined_rounding(weights, b, base):
+    """The rounding by its definition: base**(i + 1 + b) at each positive
+    weight's ``rounding_exponent`` i, and 0.0 for a zero weight. It raises
+    for a bad base, then for the first negative weight or first weight
+    whose offset-0 exponent i0 leaves the float range, then for a bad
+    offset, then when some level base**(i0 + 1 + b) does."""
+    if not 1.0 < base <= 2.0:
+        raise ValueError(f"base must lie in (1, 2], got {base}")
+    start = []
+    for w in weights:
+        if w < 0:
+            raise ValueError(f"negative weight {w}")
+        try:
+            start.append(rounding_exponent(w, 0.0, base) if w else None)
+        except OverflowError:
+            raise ValueError("a rounded weight exceeds the float range") from None
+    if not 0.0 <= b <= 1.0:
+        raise ValueError(f"offset must lie in [0, 1], got {b}")
+    try:
+        for i in start:
+            if i is not None:
+                base ** (i + 1 + b)
+        return tuple(base ** (rounding_exponent(w, b, base) + 1 + b) if w else 0.0 for w in weights)
+    except OverflowError:
+        raise ValueError("a rounded weight exceeds the float range") from None
 
 
 WEIGHTS = st.one_of(
@@ -180,6 +206,6 @@ WEIGHTS = st.one_of(
     base=st.one_of(st.sampled_from([1.0, 1.5, 2.0, 2.5]), st.floats(1.01, 2.0)),
 )
 @settings(max_examples=300, deadline=None)
-def test_round_weights_is_the_schedule_at_one_offset(weights, b, base):
-    direct = rounding_outcome(lambda: round_weights(weights, b, base))
-    assert direct == rounding_outcome(lambda: breakpoints(weights, base).at(b))
+def test_round_weights_is_the_defining_rounding(weights, b, base):
+    direct = rounding_outcome(lambda: round_weights(weights, b, base).rounded)
+    assert direct == rounding_outcome(lambda: defined_rounding(weights, b, base))

@@ -25,15 +25,11 @@ SINGLE = matching_instance(2, [(0, 1, 1.0)])
 
 
 def test_rounding_examples():
-    rw = round_weights_matching([1.0], 0.5, 2.0)
-    assert rw.exponents == (-1,)
-    assert rw.rounded[0] == pytest.approx(2**0.5, abs=1e-12)
-    rw = round_weights_matching([2.0], 0.0, 2.0)
-    assert rw.exponents == (1,)
-    assert rw.rounded[0] == 4.0
-    rw = round_weights_matching([0.0], 0.3, 1.5)
-    assert rw.exponents == (None,)
-    assert rw.rounded == (0.0,)
+    assert rounding_exponent(1.0, 0.5, 2.0) == -1
+    assert round_weights_matching([1.0], 0.5, 2.0).rounded == (2**0.5,)
+    assert rounding_exponent(2.0, 0.0, 2.0) == 1
+    assert round_weights_matching([2.0], 0.0, 2.0).rounded == (4.0,)
+    assert round_weights_matching([0.0], 0.3, 1.5).rounded == (0.0,)
 
 
 @pytest.mark.parametrize("alpha", [1.1, 1.5, 2.0])
@@ -42,8 +38,10 @@ def test_rounding_defining_inequality_and_upper_bound(alpha, b):
     rng = np.random.default_rng(7)
     weights = list(rng.uniform(0.001, 50.0, size=40)) + [1.0, 2.0, alpha, alpha**3]
     rw = round_weights_matching(weights, b, alpha)
-    for w, i, hat in zip(weights, rw.exponents, rw.rounded):
+    for w, hat in zip(weights, rw.rounded):
+        i = rounding_exponent(w, b, alpha)
         assert alpha ** (i + b) <= w < alpha ** (i + 1 + b)
+        assert hat == alpha ** (i + 1 + b)
         assert w < hat <= alpha * w + 1e-9
 
 
@@ -86,7 +84,7 @@ def test_rounding_exponent_at_powers_of_the_base(base):
             for b in (0.0, 0.3, 0.999, 1.0):
                 i = rounding_exponent(w, b, base)
                 assert base ** (i + b) <= w < base ** (i + 1 + b), (w, b)
-                assert breakpoints_matching((w,), base).at(b).exponents == (i,), (w, b)
+                assert round_weights_matching((w,), b, base).rounded == (base ** (i + 1 + b),), (w, b)
 
 
 def test_greedy_hand_run_examples():

@@ -17,6 +17,7 @@ from coregauge.mst import (
     round_weights_mst,
 )
 from coregauge.oracles import agents_of, mst_weight
+from coregauge.rounding import rounding_exponent
 
 from conftest import mst_instance
 from mc_oracle import mc_mean_and_se, mc_mst_samples
@@ -26,9 +27,9 @@ SINGLE = mst_instance(1, [(ROOT, 0, 1.0)])
 
 
 def test_round_weights_mst_examples():
-    assert round_weights_mst([1.0], 0.0).exponents == (0,)
+    assert rounding_exponent(1.0, 0.0, 2.0) == 0
     assert round_weights_mst([1.0], 0.0).rounded == (2.0,)
-    assert round_weights_mst([3.0], 0.0).exponents == (1,)
+    assert rounding_exponent(3.0, 0.0, 2.0) == 1
     assert round_weights_mst([3.0], 0.0).rounded == (4.0,)
     assert round_weights_mst([0.0], 0.4).rounded == (0.0,)
 
@@ -323,6 +324,39 @@ def test_integrate_sums_the_per_edge_definition_over_the_intervals(seed):
         want = [x + factor * z for x, z in zip(want, shares)]
     got = integrate_mst(inst, inst.weights).values
     assert sum(abs(g - w) for g, w in zip(got, want)) <= 1e-12 * max(sum(want), 1e-300)
+
+
+def _closed_form_average(tree, n):
+    """The offset average one dendrogram edge at a time: the parent's rounded
+    height r_p(b) is paid where the child's r_c(b) differs from it, and
+    over b in [0, 1] that integrates to min(h_p, 2(h_p - h_c))/ln 2."""
+    carried = [0.0] * len(tree.nodes)
+    for node in reversed(tree.nodes):
+        for c in node.children:
+            child = tree.nodes[c]
+            if not child.has_supply:
+                term = min(node.height, 2.0 * (node.height - child.height)) / math.log(2.0)
+                carried[c] = carried[node.id] + term / child.agent_mask.bit_count()
+    return carried[:n]
+
+
+@pytest.mark.parametrize("weights", ["float", "integer", "power-of-two"])
+def test_integral_is_one_closed_form_term_per_dendrogram_edge(weights):
+    for seed in range(140):
+        rng = np.random.default_rng(seed + 1100)
+        inst = gen_random(GameKind.MIN_SPANNING_TREE, 1 + seed % 30, float(rng.uniform(0.1, 0.9)), 10.0, seed)
+        if weights == "integer":  # ties and zeros
+            inst = inst.with_weights(tuple(float(w) for w in rng.integers(0, 5, size=inst.m)))
+        elif weights == "power-of-two":
+            inst = inst.with_weights(tuple(2.0 ** int(k) for k in rng.integers(-6, 7, size=inst.m)))
+        want = _closed_form_average(auxiliary_tree(inst, inst.weights), inst.n)
+        got = integrate_mst(inst, inst.weights).values
+        assert sum(abs(g - w) for g, w in zip(got, want)) <= 1e-12 * max(sum(want), 1e-300), seed
+        total = math.fsum(want)
+        scale = mst_weight(inst, range(inst.n)) / total if total else 0.0
+        want = [w * scale for w in want]
+        got = mst_core_allocate(inst, inst.weights).values
+        assert sum(abs(g - w) for g, w in zip(got, want)) <= 1e-12 * max(sum(want), 1e-300), seed
 
 
 def test_integrate_zero_weights():

@@ -177,6 +177,17 @@ def test_bumped_path_gap_meets_certified_lower_bound(n):
     assert gap >= matching_lower_bound_value(n, delta) - 1e-9
 
 
+@pytest.mark.parametrize("n", [5, 7, 9, 11, 13])
+def test_bumped_path_gap_is_delta_plus_the_lower_bound_exactly(n):
+    # an exact identity of the bumped path, not only a bound: the l1 gap is
+    # delta plus the certified lower bound
+    base = shapley_exact(gen_path_pair_bumped(n, 1.0)[0])
+    for delta in (1.0, 0.5, 0.1, 1e-3):
+        bumped = shapley_exact(gen_path_pair_bumped(n, delta)[1])
+        gap = l1_distance(base, bumped)
+        assert abs(gap - (delta + matching_lower_bound_value(n, delta))) <= 1e-12, (delta, gap)
+
+
 @pytest.mark.parametrize("n", [5, 7, 9])
 def test_bumped_path_per_coordinate_gaps(n):
     # agents here are 0-based; the moving coordinates are the 1-based even
