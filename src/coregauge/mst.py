@@ -207,10 +207,11 @@ def mst_core_allocate(inst: GameInstance, weights: Sequence[float]) -> Allocatio
     tree = auxiliary_tree(inst, weights)
     heights = _heights(tree)
     raw = _tree_integral(tree, within_rounding_range(heights), inst.n)
-    try:  # a node with k children took k - 1 tree edges of its height
-        grand = math.fsum(heights[node.id] for node in tree.nodes for _ in node.children[1:])
-    except OverflowError:
-        grand = math.inf
+    # Kruskal's sum, as mst_weight: a node with k children took k - 1 tree edges
+    grand = 0.0
+    for node in tree.nodes:
+        for _ in node.children[1:]:
+            grand += node.height
     return normalize_welfare(raw, grand)
 
 

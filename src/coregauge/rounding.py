@@ -20,16 +20,23 @@ BREAKPOINT_TOL = 1e-12
 # Rounding up and summing weights of at most 2**1000 stays finite.
 WEIGHT_CAP_EXPONENT = 1000
 
-_BEYOND_FLOAT_RANGE = "a rounded weight exceeds the float range"
+
+def _power(base: float, x: float) -> float:
+    """base**x, or inf where it is past the float range."""
+    try:
+        return base**x
+    except OverflowError:
+        return math.inf
 
 
 def rounding_exponent(w: float, b: float, base: float) -> int:
-    """The unique integer i with base**(i+b) <= w < base**(i+1+b)."""
+    """The unique integer i with base**(i+b) <= w < base**(i+1+b); a power
+    past the float range counts as above every finite weight."""
     i = math.floor(math.log(w, base) - b)
     # float log can land one off at exact powers; repair to the defining inequality
-    while base ** (i + b) > w:
+    while _power(base, i + b) > w:
         i -= 1
-    while base ** (i + 1 + b) <= w:
+    while _power(base, i + 1 + b) <= w:
         i += 1
     return i
 
@@ -73,23 +80,20 @@ def _level_keys(start_exponents: Sequence[int | None]) -> set[int]:
     return {k for i in start_exponents if i is not None for k in (i, i + 1)}
 
 
-def _levels(base: float, keys: set[int], b: float) -> dict:
-    """base**(k + b) for each key."""
-    try:
-        return {k: base ** (k + b) for k in keys}
-    except OverflowError:
-        raise ValueError(_BEYOND_FLOAT_RANGE) from None
-
-
 def _snap(weights: Sequence[float], start_exponents: Sequence[int | None], levels: dict) -> list:
     """The rounding rule at one offset, written once. A positive weight with
     start exponent i keeps it while levels[i] = base**(i + b) <= w and has
     exponent i - 1 after; it rounds up to levels[exponent + 1]. A zero
-    weight rounds to 0.0."""
-    return [
+    weight rounds to 0.0. A level past the float range is inf, and a weight
+    that rounds to it is refused: the one float-range refusal of rounding."""
+    rounded = [
         0.0 if i is None else levels[i + 1] if levels[i] <= w else levels[i]
         for w, i in zip(weights, start_exponents)
     ]
+    # only a level can be inf, and there are seldom more levels than weights
+    if math.inf in levels.values() and math.inf in rounded:
+        raise ValueError("a rounded weight exceeds the float range")
+    return rounded
 
 
 def _start_exponents(weights: Sequence[float], base: float) -> list[int | None]:
@@ -98,15 +102,9 @@ def _start_exponents(weights: Sequence[float], base: float) -> list[int | None]:
         raise ValueError(f"base must lie in (1, 2], got {base}")
     exponents: list[int | None] = []
     for w in weights:
-        if w < 0:
-            raise ValueError(f"negative weight {w}")
-        if w == 0:
-            exponents.append(None)
-            continue
-        try:
-            exponents.append(rounding_exponent(w, 0.0, base))
-        except OverflowError:
-            raise ValueError(_BEYOND_FLOAT_RANGE) from None
+        if not 0 <= w < math.inf:
+            raise ValueError(f"negative weight {w}" if w < 0 else f"weight {w} is not finite")
+        exponents.append(rounding_exponent(w, 0.0, base) if w else None)
     return exponents
 
 
@@ -136,7 +134,7 @@ def round_weights(weights: Sequence[float], b: float, base: float) -> RoundedWei
     starts = _start_exponents(weights, base)
     if not 0.0 <= b <= 1.0:
         raise ValueError(f"offset must lie in [0, 1], got {b}")
-    levels = _levels(base, _level_keys(starts), b)
+    levels = {k: _power(base, k + b) for k in _level_keys(starts)}
     # tuple(<list>) is built at its exact size; tuple(<generator>) grows by
     # resizing, which leaves CPython's per-size tuple freelists full
     return RoundedWeights(tuple(_snap(weights, starts, levels)))
@@ -160,7 +158,7 @@ def offset_average(
     for lo, hi in schedule.intervals():
         mid = (lo + hi) / 2.0
         factor = (base ** (hi - mid) - base ** (lo - mid)) / log_base
-        levels = _levels(base, keys, mid)
+        levels = {k: _power(base, k + mid) for k in keys}
         part = [x * factor for x in rule(_snap(weights, starts, levels))]
         # a running sum in interval order: from Python 3.12 sum() compensates floats
         total = [t + x for t, x in zip(total, part)] if total else part

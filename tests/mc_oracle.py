@@ -26,6 +26,8 @@ from coregauge.games import ROOT, GameInstance
 
 Rule = Callable[[np.ndarray], list[float]]
 
+BOUNDARY_SLACK = 1e-9
+
 
 def stratified_offsets(samples: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
@@ -34,17 +36,27 @@ def stratified_offsets(samples: int, seed: int) -> np.ndarray:
 
 def _exponent_matrix(weights: np.ndarray, b: np.ndarray, base: float) -> np.ndarray:
     """Per-sample rounding exponents, shape (samples, edges); -inf marks a
-    zero weight."""
+    zero weight. The float log and powers are off by far less than
+    BOUNDARY_SLACK, so only entries that close to an exponent boundary can
+    need the repair to the defining inequality, and only those are
+    repaired. Powers below the normal range lose precision, so a weight
+    under base times the least normal float is repaired at every offset."""
     pos = weights > 0
-    logs = np.full(weights.shape, -np.inf)
+    logs = np.zeros(weights.shape)
     logs[pos] = np.log(weights[pos]) / np.log(base)
-    expo = np.floor(logs[None, :] - b[:, None])
-    w_row = weights[None, :]
-    for _ in range(2):  # repair float-log boundary misses
-        too_high = pos[None, :] & (base ** (expo + b[:, None]) > w_row)
-        expo[too_high] -= 1.0
-        too_low = pos[None, :] & (base ** (expo + 1.0 + b[:, None]) <= w_row)
-        expo[too_low] += 1.0
+    x = logs[None, :] - b[:, None]
+    expo = np.floor(x)
+    frac = x - expo
+    subnormal_powers = weights < base * np.finfo(float).tiny
+    suspect = (frac < BOUNDARY_SLACK) | (frac > 1.0 - BOUNDARY_SLACK) | subnormal_powers[None, :]
+    rows, cols = np.nonzero(pos[None, :] & suspect)
+    near, b_near, w_near = expo[rows, cols], b[rows], weights[cols]
+    with np.errstate(over="ignore"):  # a power past the float range is inf, above every weight
+        for _ in range(2):  # repair float-log boundary misses
+            near[base ** (near + b_near) > w_near] -= 1.0
+            near[base ** (near + 1.0 + b_near) <= w_near] += 1.0
+    expo[rows, cols] = near
+    expo[:, ~pos] = -np.inf
     return expo
 
 

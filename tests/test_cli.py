@@ -398,9 +398,11 @@ HUGE_PAIR = matching_instance(4, [(0, 1, 1.7e308), (2, 3, 1.7e308)])
         (HUGE_PAIR, ["shapley"], "float range"),
         (mst_instance(1, [(ROOT, 0, 1.7e308)]), ["allocate", "--dump-tree", "tree.json"],
          "float range"),
+        (mst_instance(1, [(ROOT, 0, 1.7e308)]), ["lipschitz", "--allocator", "mst-raw", "--bound", "15"],
+         "float range"),
     ],
     ids=["mst-allocate", "matching-allocate", "matching-raw-lipschitz", "mst-lipschitz",
-         "shapley", "dump-tree"],
+         "shapley", "dump-tree", "mst-raw-lipschitz"],
 )
 def test_values_beyond_the_float_range_exit_two(runner, tmp_path, inst, args, needle):
     path = tmp_path / "huge.json"
@@ -528,6 +530,17 @@ def test_lipschitz_probes_the_smallest_and_largest_weights(runner, tmp_path, wei
     payload = payload_of(result)
     assert payload["pass"] is True
     assert payload["probes"] and all(p["delta"] > 0 for p in payload["probes"])
+
+
+def test_lipschitz_matching_raw_on_an_edge_whose_rounding_fits_the_float_range(runner, tmp_path):
+    # 1e308 at base 1.5 rounds to at most ~1.50e308 at every offset; 24 is
+    # the raw bound 12 / (base - 1)
+    path = tmp_path / "edge.json"
+    dump_instance(matching_instance(2, [(0, 1, 1e308)]), str(path))
+    result = invoke(runner, ["lipschitz", str(path), "--allocator", "matching-raw", "--base", "1.5",
+                             "--bound", "24"])
+    assert result.exit_code == 0
+    assert payload_of(result)["pass"] is True
 
 
 def test_a_closed_stdout_pipe_is_not_reported_as_bad_input(tmp_path):

@@ -6,6 +6,7 @@ kernels must repeat the same additions and comparisons in the same order.
 
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -170,33 +171,25 @@ def rounding_outcome(call):
 def defined_rounding(weights, b, base):
     """The rounding by its definition: base**(i + 1 + b) at each positive
     weight's ``rounding_exponent`` i, and 0.0 for a zero weight. It raises
-    for a bad base, then for the first negative weight or first weight
-    whose offset-0 exponent i0 leaves the float range, then for a bad
-    offset, then when some level base**(i0 + 1 + b) does."""
+    for a bad base, then for the first negative weight, then for a bad
+    offset, and otherwise exactly when some base**(i + 1 + b) is past the
+    float range."""
     if not 1.0 < base <= 2.0:
         raise ValueError(f"base must lie in (1, 2], got {base}")
-    start = []
     for w in weights:
         if w < 0:
             raise ValueError(f"negative weight {w}")
-        try:
-            start.append(rounding_exponent(w, 0.0, base) if w else None)
-        except OverflowError:
-            raise ValueError("a rounded weight exceeds the float range") from None
     if not 0.0 <= b <= 1.0:
         raise ValueError(f"offset must lie in [0, 1], got {b}")
     try:
-        for i in start:
-            if i is not None:
-                base ** (i + 1 + b)
         return tuple(base ** (rounding_exponent(w, b, base) + 1 + b) if w else 0.0 for w in weights)
     except OverflowError:
         raise ValueError("a rounded weight exceeds the float range") from None
 
 
 WEIGHTS = st.one_of(
-    st.sampled_from([0.0, 5e-324, 1e-310, 2.2e-308, 1.0, 3.0, 1e300, 1e308, 1.7e308, -1.0]),
-    st.floats(0.0, 1e308),
+    st.sampled_from([0.0, 5e-324, 1e-310, 2.2e-308, 1.0, 3.0, 1e300, 1e308, 1.7e308, sys.float_info.max, -1.0]),
+    st.floats(0.0, sys.float_info.max),
 )
 
 
@@ -209,3 +202,30 @@ WEIGHTS = st.one_of(
 def test_round_weights_is_the_defining_rounding(weights, b, base):
     direct = rounding_outcome(lambda: round_weights(weights, b, base).rounded)
     assert direct == rounding_outcome(lambda: defined_rounding(weights, b, base))
+
+
+def power_or_inf(base, x):
+    try:
+        return base**x
+    except OverflowError:
+        return math.inf
+
+
+@given(
+    weights=st.lists(WEIGHTS.filter(lambda w: w >= 0), max_size=8),
+    b=st.one_of(st.sampled_from([0.0, 0.5, 0.99, 1.0]), st.floats(0.0, 1.0)),
+    base=st.one_of(st.sampled_from([1.1, 1.5, 2.0]), st.floats(1.01, 2.0)),
+)
+@settings(max_examples=300, deadline=None)
+def test_rounding_raises_no_overflow_error_on_finite_weights(weights, b, base):
+    # a power past the float range counts as above every finite weight; only
+    # a rounded weight past the range is refused, and with a ValueError
+    for w in weights:
+        if w:
+            i = rounding_exponent(w, b, base)
+            assert base ** (i + b) <= w < power_or_inf(base, i + 1 + b)
+    breakpoints(weights, base)
+    try:
+        round_weights(weights, b, base)
+    except ValueError as exc:
+        assert str(exc) == "a rounded weight exceeds the float range"

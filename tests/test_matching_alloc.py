@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -52,14 +53,25 @@ def test_rounding_rejects_bad_base():
         round_weights_matching([1.0], 0.0, 1.0)
 
 
+@pytest.mark.parametrize("weight", [math.inf, math.nan])
+def test_rounding_rejects_a_weight_that_is_not_finite(weight):
+    with pytest.raises(ValueError, match="not finite"):
+        round_weights_matching([1.0, weight], 0.5, 2.0)
+    with pytest.raises(ValueError, match="not finite"):
+        breakpoints_matching([weight], 1.5)
+
+
 @pytest.mark.parametrize(
     "call",
     [
         lambda: round_weights_matching([1.7e308], 0.0, 1.5),
         lambda: integrate_matching(matching_instance(2, [(0, 1, 1.7e308)]), [1.7e308], 1.5),
         lambda: differing_offset_measure(1.7e308, 1.0, 1.5),
+        lambda: round_weights_matching([1.7e308], 0.5, 2.0),
+        lambda: round_weights_matching([sys.float_info.max], 0.999, 2.0),
     ],
-    ids=["round_weights", "integrate_matching", "differing_offset_measure"],
+    ids=["round_weights", "integrate_matching", "differing_offset_measure",
+         "round_weights-at-an-offset", "round_weights-float-max"],
 )
 def test_rounding_past_the_float_range_raises_value_error(call):
     with pytest.raises(ValueError, match="float range"):
@@ -67,11 +79,33 @@ def test_rounding_past_the_float_range_raises_value_error(call):
 
 
 def test_rounding_overflow_at_an_offset_and_the_core_allocator_scaling_past_it():
-    # the schedule of 1e308 at base 1.5 exists; some offset's level overflows
+    # 1e308 at base 1.5 rounds to at most 1.5**1750.09 ~ 1.50e308 at every
+    # offset, so its integral is the finite w * (base - 1) / ln(base)
     edge = matching_instance(2, [(0, 1, 1e308)])
-    with pytest.raises(ValueError, match="float range"):
-        integrate_matching(edge, edge.weights, 1.5)
+    want = 1e308 * 0.5 / math.log(1.5)
+    for got in integrate_matching(edge, edge.weights, 1.5).values:
+        assert got == pytest.approx(want, rel=1e-12)
     assert matching_core_allocate(edge, edge.weights, 0.25).values == (5e307, 5e307)
+
+
+def test_rounding_that_fits_the_float_range_is_returned():
+    # the level above the weight's offset-0 exponent is past the range, but
+    # the weight's own rounding at these offsets is not
+    assert round_weights_matching([1e308], 0.9, 1.5).rounded == (1.5**1749.9,)
+    assert round_weights_matching([1.7e308], 0.95, 2.0).rounded == (2.0**1023.95,)
+    assert breakpoints_matching([1.7e308], 2.0).start_exponents == (1023,)
+
+
+@pytest.mark.parametrize("base", [2.0, 1.5])
+@pytest.mark.parametrize("b", [0.0, 0.99])
+def test_rounding_exponent_of_the_largest_float(b, base):
+    # math.log(max, 2) is 1024.0; a power past the float range counts as
+    # above the weight
+    top = sys.float_info.max
+    i = rounding_exponent(top, b, base)
+    assert base ** (i + b) <= top
+    with pytest.raises(OverflowError):
+        base ** (i + 1 + b)
 
 
 @pytest.mark.parametrize("base", [2.0, 1.5, 1.1, 1.02])

@@ -6,6 +6,7 @@ import pytest
 from coregauge.analysis import core_check
 from coregauge.games import ROOT, GameKind, l1_distance, perturb
 from coregauge.instances import gen_random
+from coregauge.matching import normalize_welfare
 from coregauge.mst import (
     auxiliary_tree,
     breakpoints_mst,
@@ -357,6 +358,23 @@ def test_integral_is_one_closed_form_term_per_dendrogram_edge(weights):
         want = [w * scale for w in want]
         got = mst_core_allocate(inst, inst.weights).values
         assert sum(abs(g - w) for g, w in zip(got, want)) <= 1e-12 * max(sum(want), 1e-300), seed
+
+
+@pytest.mark.parametrize("weights", ["float", "integer", "power-of-two", "scaled"])
+def test_core_allocation_is_the_integral_rescaled_to_kruskals_tree_cost(weights):
+    # the tree cost is Kruskal's own sum, so the normalization is exact
+    for seed in range(500):
+        rng = np.random.default_rng(seed + 4100)
+        inst = gen_random(GameKind.MIN_SPANNING_TREE, 1 + seed % 12, float(rng.uniform(0.1, 0.9)), 10.0, seed)
+        if weights == "integer":  # ties and zeros
+            inst = inst.with_weights(tuple(float(w) for w in rng.integers(0, 5, size=inst.m)))
+        elif weights == "power-of-two":
+            inst = inst.with_weights(tuple(2.0 ** int(k) for k in rng.integers(-6, 7, size=inst.m)))
+        elif weights == "scaled":
+            inst = inst.with_weights(tuple(w * 10.0 ** (200 if seed % 2 else -200) for w in inst.weights))
+        cost = mst_weight(inst, range(inst.n))
+        want = normalize_welfare(integrate_mst(inst, inst.weights), cost).values
+        assert mst_core_allocate(inst, inst.weights).values == want, seed
 
 
 def test_integrate_zero_weights():
