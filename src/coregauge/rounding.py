@@ -83,15 +83,13 @@ def _level_keys(start_exponents: Sequence[int | None]) -> set[int]:
 def _snap(weights: Sequence[float], start_exponents: Sequence[int | None], levels: dict) -> list:
     """The rounding rule at one offset, written once. A positive weight with
     start exponent i keeps it while levels[i] = base**(i + b) <= w and has
-    exponent i - 1 after; it rounds up to levels[exponent + 1]. A zero
-    weight rounds to 0.0. A level past the float range is inf, and a weight
-    that rounds to it is refused: the one float-range refusal of rounding."""
+    exponent i - 1 after; it rounds up to levels[exponent + 1], refused if
+    that is inf (past the float range). A zero weight rounds to 0.0."""
     rounded = [
         0.0 if i is None else levels[i + 1] if levels[i] <= w else levels[i]
         for w, i in zip(weights, start_exponents)
     ]
-    # only a level can be inf, and there are seldom more levels than weights
-    if math.inf in levels.values() and math.inf in rounded:
+    if math.inf in rounded:
         raise ValueError("a rounded weight exceeds the float range")
     return rounded
 
@@ -153,6 +151,9 @@ def offset_average(
     base = schedule.base
     log_base = math.log(base)
     weights, starts = schedule.weights, schedule.start_exponents
+    top = max(weights, default=0.0)  # w rounds to at most base * w at any offset
+    if top and _power(base, math.log(top, base) + 1.0) == math.inf:
+        raise ValueError("a rounded weight exceeds the float range")
     keys = _level_keys(starts)
     total: list[float] = []
     for lo, hi in schedule.intervals():

@@ -36,19 +36,22 @@ def stratified_offsets(samples: int, seed: int) -> np.ndarray:
 
 def _exponent_matrix(weights: np.ndarray, b: np.ndarray, base: float) -> np.ndarray:
     """Per-sample rounding exponents, shape (samples, edges); -inf marks a
-    zero weight. The float log and powers are off by far less than
-    BOUNDARY_SLACK, so only entries that close to an exponent boundary can
-    need the repair to the defining inequality, and only those are
-    repaired. Powers below the normal range lose precision, so a weight
-    under base times the least normal float is repaired at every offset."""
+    zero weight. In exponent units the float log is off by a few ulps of
+    |log_base w| and a float power by a few ulps over log(base), far less
+    than BOUNDARY_SLACK times |log_base w| + 1 / log(base), so only entries
+    that close to an exponent boundary can need the repair to the defining
+    inequality, and only those are repaired. Powers below the normal range
+    lose precision, so a weight under base times the least normal float is
+    repaired at every offset."""
     pos = weights > 0
     logs = np.zeros(weights.shape)
     logs[pos] = np.log(weights[pos]) / np.log(base)
     x = logs[None, :] - b[:, None]
     expo = np.floor(x)
     frac = x - expo
+    slack = BOUNDARY_SLACK * (np.abs(logs) + 1.0 / np.log(base))
     subnormal_powers = weights < base * np.finfo(float).tiny
-    suspect = (frac < BOUNDARY_SLACK) | (frac > 1.0 - BOUNDARY_SLACK) | subnormal_powers[None, :]
+    suspect = (frac < slack) | (frac > 1.0 - slack) | subnormal_powers[None, :]
     rows, cols = np.nonzero(pos[None, :] & suspect)
     near, b_near, w_near = expo[rows, cols], b[rows], weights[cols]
     with np.errstate(over="ignore"):  # a power past the float range is inf, above every weight

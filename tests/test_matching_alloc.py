@@ -88,6 +88,22 @@ def test_rounding_overflow_at_an_offset_and_the_core_allocator_scaling_past_it()
     assert matching_core_allocate(edge, edge.weights, 0.25).values == (5e307, 5e307)
 
 
+@pytest.mark.parametrize("big, fits", [(1.4e308, False), (1e308, True)])
+def test_offset_average_refuses_on_the_weights_alone(big, fits):
+    # over the offsets a weight w rounds up to at most base * w: 1.4e308 at
+    # base 1.5 reaches 2.1e308 and 1e308 reaches 1.5e308. A second edge's
+    # breakpoint at 0.8 moves the interval midpoints but not the verdict.
+    alone = matching_instance(2, [(0, 1, big)])
+    beside = matching_instance(4, [(0, 1, big), (2, 3, 1.5**0.8)])
+    for inst in (alone, beside):
+        if not fits:
+            with pytest.raises(ValueError, match="float range"):
+                integrate_matching(inst, inst.weights, 1.5)
+            continue
+        got = integrate_matching(inst, inst.weights, 1.5).values[:2]
+        assert got == pytest.approx((big * 0.5 / math.log(1.5),) * 2, rel=1e-12)
+
+
 def test_rounding_that_fits_the_float_range_is_returned():
     # the level above the weight's offset-0 exponent is past the range, but
     # the weight's own rounding at these offsets is not
