@@ -73,7 +73,9 @@ def integrate_matching(
 
 
 def normalize_welfare(raw: Allocation, grand: float) -> Allocation:
-    """Rescale a nonnegative raw vector so it sums to the grand value."""
+    """Rescale a nonnegative raw vector so it sums to the grand value. Each
+    share is capped at the grand value, which a scale rounded up could
+    otherwise push it past, even past the float range."""
     if not 0 <= grand < math.inf:
         raise ValueError(f"grand value must be nonnegative and within the float range, got {grand}")
     norm = raw.total()
@@ -82,7 +84,7 @@ def normalize_welfare(raw: Allocation, grand: float) -> Allocation:
             raise ValueError("cannot scale a zero vector to a positive grand value")
         return Allocation.of([0.0] * raw.n)
     scale = grand / norm
-    return Allocation.of(x * scale for x in raw.values)
+    return Allocation.of([min(x * scale, grand) for x in raw.values])
 
 
 def matching_core_allocate(

@@ -23,7 +23,7 @@ from typing import NamedTuple, Sequence
 
 from .games import ROOT, Allocation, GameInstance, GameKind
 from .matching import normalize_welfare
-from .oracles import _kruskal_order, mask_of
+from .oracles import _kruskal_order, _mst_value, mask_of
 from .rounding import (
     RoundedWeights,
     RoundingSchedule,
@@ -80,42 +80,33 @@ class AuxiliaryTree:
         }
 
 
-def auxiliary_tree(inst: GameInstance, weights: Sequence[float]) -> AuxiliaryTree:
-    """Merge dendrogram of Kruskal's algorithm on the given weights.
+def _dendrogram(inst: GameInstance, weights: Sequence[float]) -> tuple[AuxiliaryTree, float]:
+    """Merge dendrogram of Kruskal's algorithm on the given weights, and
+    the spanning tree cost, both from one run of the oracle's Kruskal loop
+    (``_mst_value``) over all agents that records its merges.
 
-    The edges come from the oracle's one Kruskal order (``_kruskal_order``)
-    and join components by path-halving union-find, as ``_mst_value``
-    does. Equal weights are added simultaneously; every component created
-    by such a batch becomes one node whose children, ascending, are the
+    Merges of equal weight form one batch; every component a batch
+    creates becomes one node whose children, ascending, are the
     components it swallowed. Equal rounding exponents give bit-identical
-    rounded weights, so the batches are formed by exact equality. The
-    nodes of one batch are numbered in the order of their smallest child,
-    so node ids depend only on the components, not on the edges that
-    formed them. The build stops after the n merges that connect the graph.
-    """
+    rounded weights, so batches are formed by exact equality. The nodes
+    of one batch are numbered in the order of their smallest child, so
+    node ids depend only on the components, not on the edges that formed
+    them."""
     _require_mst(inst)
     n = inst.n
+    merges: list[tuple] = []
+    try:
+        total = _mst_value(_kruskal_order(inst, weights), (1 << n) - 1, n, merges)
+    except ValueError:
+        raise ValueError("graph is not connected; cannot build the merge dendrogram") from None
     nodes = [TreeNode(v, 0.0, (), v, 1 << v, False) for v in range(n)]
     nodes.append(TreeNode(n, 0.0, (), ROOT, 0, True))
-    parent = list(range(n + 1))  # union-find slots; the supply vertex is slot n
-    node_of = list(range(n + 1))  # dendrogram node of each union-find root
-    merges = n
-    for level, batch in groupby(_kruskal_order(inst, weights), key=itemgetter(3)):
-        if not merges:
-            break
+    node_of = list(range(n + 1))  # dendrogram node of each union-find root; the supply is slot n
+    for level, batch in groupby(merges, key=itemgetter(0)):
         absorbed: dict[int, list[int]] = {}  # surviving root -> child nodes
-        for _, a, b, _ in batch:
-            while parent[a] != a:  # path halving
-                parent[a] = a = parent[parent[a]]
-            while parent[b] != b:
-                parent[b] = b = parent[parent[b]]
-            if a != b:
-                parent[b] = a
-                kids = absorbed.setdefault(a, [node_of[a]])
-                kids += absorbed.pop(b, None) or [node_of[b]]
-                merges -= 1
-        if not absorbed:
-            continue
+        for _, a, b in batch:
+            kids = absorbed.setdefault(a, [node_of[a]])
+            kids += absorbed.pop(b, None) or [node_of[b]]
         # disjoint sorted lists compare by their smallest child
         for kids, root in sorted((sorted(kids), root) for root, kids in absorbed.items()):
             nid = len(nodes)
@@ -123,9 +114,12 @@ def auxiliary_tree(inst: GameInstance, weights: Sequence[float]) -> AuxiliaryTre
             supply = any(nodes[c].has_supply for c in kids)
             nodes.append(TreeNode(nid, level, tuple(kids), None, mask, supply))
             node_of[root] = nid
-    if merges:
-        raise ValueError("graph is not connected; cannot build the merge dendrogram")
-    return AuxiliaryTree(tuple(nodes))
+    return AuxiliaryTree(tuple(nodes)), total
+
+
+def auxiliary_tree(inst: GameInstance, weights: Sequence[float]) -> AuxiliaryTree:
+    """Merge dendrogram of Kruskal's algorithm on the given weights."""
+    return _dendrogram(inst, weights)[0]
 
 
 def _heights(tree: AuxiliaryTree) -> tuple[float, ...]:
@@ -204,14 +198,8 @@ def integrate_mst(inst: GameInstance, weights: Sequence[float]) -> Allocation:
 def mst_core_allocate(inst: GameInstance, weights: Sequence[float]) -> Allocation:
     """Allocation in the 4-approximate core of the spanning-tree game,
     summing to the true minimum spanning tree cost."""
-    tree = auxiliary_tree(inst, weights)
-    heights = _heights(tree)
-    raw = _tree_integral(tree, within_rounding_range(heights), inst.n)
-    # Kruskal's sum, as mst_weight: a node with k children took k - 1 tree edges
-    grand = 0.0
-    for node in tree.nodes:
-        for _ in node.children[1:]:
-            grand += node.height
+    tree, grand = _dendrogram(inst, weights)  # Kruskal's own sum, as mst_weight
+    raw = _tree_integral(tree, within_rounding_range(_heights(tree)), inst.n)
     return normalize_welfare(raw, grand)
 
 

@@ -148,10 +148,12 @@ def _kruskal_order(inst: GameInstance, weights: Sequence) -> Iterator[tuple]:
         yield 1 << a | 1 << b, a, b, weights[eid]
 
 
-def _mst_value(order: Iterable[tuple], smask: int, n: int):
+def _mst_value(order: Iterable[tuple], smask: int, n: int, merges: list | None = None):
     """Spanning tree weight of G[S + root]: Kruskal takes edges from
     ``order`` (see ``_kruskal_order``), sums them in the order it takes
-    them, and stops once it has |S| of them."""
+    them, and stops once it has |S| of them. The package's one Kruskal
+    loop: given a ``merges`` list, it appends each merge as (weight, kept
+    root, absorbed root), the record ``mst.auxiliary_tree`` builds from."""
     inside = smask | 1 << n  # the supply vertex is union-find slot n
     needed = smask.bit_count()
     parent = list(range(n + 1))
@@ -161,8 +163,7 @@ def _mst_value(order: Iterable[tuple], smask: int, n: int):
             break
         if ends & inside != ends:
             continue
-        # path halving; mst.auxiliary_tree joins its components the same way
-        while parent[a] != a:
+        while parent[a] != a:  # path halving
             parent[a] = a = parent[parent[a]]
         while parent[b] != b:
             parent[b] = b = parent[parent[b]]
@@ -170,6 +171,8 @@ def _mst_value(order: Iterable[tuple], smask: int, n: int):
             parent[b] = a
             total = total + w
             needed -= 1
+            if merges is not None:
+                merges.append((w, a, b))
     if needed:
         raise ValueError("induced subgraph is not connected through the root")
     return total

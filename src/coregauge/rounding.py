@@ -184,13 +184,16 @@ def differing_offset_measure(w_before: float, w_after: float, base: float) -> fl
     """Total length of offsets b at which the two weights round differently.
 
     Computed from the common rounding schedule of both weights by
-    comparing their rounded values at each sub-interval midpoint: distinct
-    exponents round to distinct levels.
+    comparing their rounding exponents at each sub-interval midpoint, so
+    no rounded level is formed and no finite pair is refused. A zero
+    weight rounds differently from every positive one, and two zeros
+    round alike.
     """
     pair = (w_before, w_after)
     total = 0.0
     for lo, hi in breakpoints(pair, base).intervals():
-        first, second = round_weights(pair, (lo + hi) / 2.0, base).rounded
+        mid = (lo + hi) / 2.0
+        first, second = [rounding_exponent(w, mid, base) if w else None for w in pair]
         if first != second:
             total += hi - lo
     return total

@@ -119,6 +119,14 @@ def test_allocate_dump_tree(runner, tmp_path):
         assert set(node) == {"children", "h", "id", "leaf"}
 
 
+def test_allocate_refuses_dump_tree_on_a_matching_game(runner, tmp_path):
+    path = write_single_edge(tmp_path)
+    tree_path = tmp_path / "out.json"
+    result = runner.invoke(main, ["allocate", str(path), "--epsilon", "0.25", "--dump-tree", str(tree_path)])
+    expect_input_error(result, "--dump-tree applies only to spanning-tree games")
+    assert not tree_path.exists()
+
+
 def test_allocate_output_feeds_core_check(runner, tmp_path):
     path = write_mst3(tmp_path)
     result = invoke(runner, ["allocate", str(path)])
@@ -411,6 +419,20 @@ def test_values_beyond_the_float_range_exit_two(runner, tmp_path, inst, args, ne
     result = runner.invoke(main, [args[0], str(path), *args[1:]])
     expect_input_error(result, needle)
     assert "Infinity" not in result.stdout and "NaN" not in result.stdout
+
+
+def test_allocate_a_tree_cost_at_the_float_max_exits_zero(runner, tmp_path):
+    max_ = sys.float_info.max
+    inst = mst_instance(5, [
+        (ROOT, 0, 1e300), (ROOT, 1, 2.2250738585072014e-308), (ROOT, 2, 1.0), (ROOT, 3, max_),
+        (ROOT, 4, max_), (0, 1, 1e-300), (1, 4, 2.2250738585072014e-308), (2, 4, 1e300),
+    ])
+    path = tmp_path / "max_cost.json"
+    dump_instance(inst, str(path))
+    result = invoke(runner, ["allocate", str(path)])
+    assert result.exit_code == 0
+    shares = payload_of(result)["allocation"]
+    assert math.fsum(shares.values()) == max_
 
 
 @pytest.mark.parametrize(

@@ -161,3 +161,8 @@ def test_with_weights_replaces_and_validates_length():
     assert inst.with_weights([3.0]).weights == (3.0,)
     with pytest.raises(ValueError):
         inst.with_weights([1.0, 2.0])
+
+
+def test_instance_refuses_edges_and_weights_of_different_lengths():
+    with pytest.raises(ValueError, match="same length"):
+        GameInstance(GameKind.MATCHING, 2, (Edge(0, 0, 1),), (1.0, 2.0))

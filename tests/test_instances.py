@@ -36,6 +36,8 @@ def test_bumped_pair():
     assert bumped9.weights[1] == 1.1 and set(bumped9.weights[2:]) == {1.0}
     with pytest.raises(ValueError):
         gen_path_pair_bumped(5, 0.0)
+    with pytest.raises(ValueError, match="odd"):
+        gen_path_pair_bumped(6, 0.1)
 
 
 def test_pairs_differ_only_in_documented_coordinates():
@@ -64,6 +66,13 @@ def test_random_mst_zero_prob_is_a_star():
 def test_random_matching_full_prob_is_complete():
     inst = gen_random(GameKind.MATCHING, 4, 1.0, 10.0, 7)
     assert inst.m == 6
+
+
+def test_random_refuses_bad_arguments():
+    with pytest.raises(ValueError, match="at least one agent"):
+        gen_random(GameKind.MATCHING, 0, 0.5, 10.0, 1)
+    with pytest.raises(ValueError, match="edge_prob"):
+        gen_random(GameKind.MIN_SPANNING_TREE, 3, 1.5, 10.0, 1)
 
 
 @pytest.mark.parametrize("kind", [GameKind.MATCHING, GameKind.MIN_SPANNING_TREE])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from coregauge.analysis import core_check
-from coregauge.games import GameKind, l1_distance, perturb
+from coregauge.games import ROOT, GameKind, l1_distance, perturb
 from coregauge.instances import gen_path_uniform, gen_random
 from coregauge.matching import (
     greedy_allocate,
@@ -18,7 +18,7 @@ from coregauge.oracles import agents_of, char_table, max_weight_matching
 from coregauge.rounding import breakpoints as breakpoints_matching, round_weights as round_weights_matching
 from coregauge.rounding import differing_offset_measure, rounding_exponent
 
-from conftest import matching_instance
+from conftest import matching_instance, mst_instance
 from mc_oracle import mc_matching_samples, mc_mean_and_se
 
 PATH3 = matching_instance(3, [(0, 1, 2.0), (1, 2, 1.0)])
@@ -53,6 +53,12 @@ def test_rounding_rejects_bad_base():
         round_weights_matching([1.0], 0.0, 1.0)
 
 
+def test_matching_integral_refuses_a_tree_game():
+    tree = mst_instance(1, [(ROOT, 0, 1.0)])
+    with pytest.raises(ValueError, match="requires a matching game"):
+        integrate_matching(tree, tree.weights, 1.5)
+
+
 @pytest.mark.parametrize("weight", [math.inf, math.nan])
 def test_rounding_rejects_a_weight_that_is_not_finite(weight):
     with pytest.raises(ValueError, match="not finite"):
@@ -66,12 +72,10 @@ def test_rounding_rejects_a_weight_that_is_not_finite(weight):
     [
         lambda: round_weights_matching([1.7e308], 0.0, 1.5),
         lambda: integrate_matching(matching_instance(2, [(0, 1, 1.7e308)]), [1.7e308], 1.5),
-        lambda: differing_offset_measure(1.7e308, 1.0, 1.5),
         lambda: round_weights_matching([1.7e308], 0.5, 2.0),
         lambda: round_weights_matching([sys.float_info.max], 0.999, 2.0),
     ],
-    ids=["round_weights", "integrate_matching", "differing_offset_measure",
-         "round_weights-at-an-offset", "round_weights-float-max"],
+    ids=["round_weights", "integrate_matching", "round_weights-at-an-offset", "round_weights-float-max"],
 )
 def test_rounding_past_the_float_range_raises_value_error(call):
     with pytest.raises(ValueError, match="float range"):
@@ -294,6 +298,18 @@ def test_bad_offset_measure_saturates_at_one():
     assert differing_offset_measure(1.0, 3.0, 1.5) == pytest.approx(1.0)
     assert differing_offset_measure(0.0, 1.0, 2.0) == 1.0
     assert differing_offset_measure(2.0, 2.0, 2.0) == 0.0
+
+
+def test_bad_offset_measure_refuses_no_finite_pair():
+    # exponents are compared, not rounded levels, so a weight whose rounding
+    # passes the float range still has a measure
+    assert differing_offset_measure(1.7e308, 1.0, 1.5) == 1.0
+    assert differing_offset_measure(sys.float_info.max, 1.0, 2.0) == 1.0
+    assert differing_offset_measure(1.7e308, 1.69e308, 1.5) == pytest.approx(math.log(1.7 / 1.69, 1.5))
+    assert differing_offset_measure(1.7e308, 1.7e308, 1.5) == 0.0
+    # a zero weight rounds differently from every positive one, and like another zero
+    assert differing_offset_measure(0.0, 5e-324, 1.5) == 1.0
+    assert differing_offset_measure(0.0, 0.0, 1.5) == 0.0
 
 
 @pytest.mark.parametrize("seed", range(6))

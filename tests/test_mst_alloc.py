@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from coregauge.mst import (
 from coregauge.oracles import agents_of, mst_weight
 from coregauge.rounding import rounding_exponent
 
-from conftest import mst_instance
+from conftest import matching_instance, mst_instance
 from mc_oracle import mc_mean_and_se, mc_mst_samples
 
 MST3 = mst_instance(2, [(ROOT, 0, 1.0), (ROOT, 1, 4.0), (0, 1, 2.0)])
@@ -33,6 +34,20 @@ def test_round_weights_mst_examples():
     assert rounding_exponent(3.0, 0.0, 2.0) == 1
     assert round_weights_mst([3.0], 0.0).rounded == (4.0,)
     assert round_weights_mst([0.0], 0.4).rounded == (0.0,)
+
+
+# agent 1 has no edge at all; validate_instance would reject this game
+UNREACHED = mst_instance(2, [(ROOT, 0, 1.0)])
+
+
+def test_auxiliary_tree_refuses_an_agent_the_supply_cannot_reach():
+    with pytest.raises(ValueError, match="^graph is not connected; cannot build the merge dendrogram$"):
+        auxiliary_tree(UNREACHED, UNREACHED.weights)
+
+
+def test_tree_integral_refuses_a_matching_game():
+    with pytest.raises(ValueError, match="requires a spanning-tree game"):
+        integrate_mst(matching_instance(2, [(0, 1, 1.0)]), (1.0,))
 
 
 def test_auxiliary_tree_hand_run():
@@ -375,6 +390,22 @@ def test_core_allocation_is_the_integral_rescaled_to_kruskals_tree_cost(weights)
         cost = mst_weight(inst, range(inst.n))
         want = normalize_welfare(integrate_mst(inst, inst.weights), cost).values
         assert mst_core_allocate(inst, inst.weights).values == want, seed
+
+
+# tree cost exactly sys.float_info.max; agent 3's share is nearly all of it
+MAX_COST_TREE = mst_instance(5, [
+    (ROOT, 0, 1e300), (ROOT, 1, 2.2250738585072014e-308), (ROOT, 2, 1.0),
+    (ROOT, 3, sys.float_info.max), (ROOT, 4, sys.float_info.max),
+    (0, 1, 1e-300), (1, 4, 2.2250738585072014e-308), (2, 4, 1e300),
+])
+
+
+def test_core_shares_of_a_tree_cost_at_the_float_max_stay_finite():
+    # the scale grand / norm rounds up; no share may pass the grand value
+    assert mst_weight(MAX_COST_TREE, range(5)) == sys.float_info.max
+    shares = mst_core_allocate(MAX_COST_TREE, MAX_COST_TREE.weights).values
+    assert all(0.0 <= x <= sys.float_info.max for x in shares)
+    assert math.fsum(shares) == sys.float_info.max
 
 
 def test_integrate_zero_weights():

@@ -53,6 +53,20 @@ def test_mst_oracle_rejects_wrong_kind():
         mst_weight(TRIANGLE, [0])
 
 
+def test_mst_oracle_refuses_a_coalition_the_supply_cannot_reach():
+    unreached = mst_instance(2, [(ROOT, 0, 1.0)])  # agent 1 has no edge
+    assert mst_weight(unreached, [0]) == 1.0
+    with pytest.raises(ValueError, match="^induced subgraph is not connected through the root$"):
+        mst_weight(unreached, [1])
+
+
+def test_oracles_refuse_non_agent_ids():
+    with pytest.raises(ValueError, match="non-agent ids"):
+        max_weight_matching(TRIANGLE, [0, 99])
+    with pytest.raises(ValueError, match="non-agent ids"):
+        mst_weight(MST3, [99])
+
+
 def test_char_value_dispatch():
     assert char_value(TRIANGLE, []) == 0.0
     path5 = gen_path_uniform(5)

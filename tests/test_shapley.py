@@ -162,6 +162,13 @@ def test_lower_bound_values():
     assert matching_lower_bound_value(7, 0.0) == 0.0
 
 
+def test_sampler_and_lower_bound_refuse_bad_arguments():
+    with pytest.raises(ValueError, match="at least one permutation"):
+        shapley_sample(matching_instance(2, [(0, 1, 1.0)]), 0, 1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        matching_lower_bound_value(5, -1.0)
+
+
 def test_lower_bound_rejects_bad_n():
     with pytest.raises(ValueError):
         matching_lower_bound_value(4, 0.1)
