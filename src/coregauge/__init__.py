@@ -28,7 +28,6 @@ from .oracles import (
     mst_weight,
 )
 from .rounding import (
-    RoundedWeights,
     RoundingSchedule,
     breakpoints,
     differing_offset_measure,
@@ -49,14 +48,12 @@ from .mst import (
     MST_CORE_FACTOR,
     AuxiliaryTree,
     auxiliary_tree,
-    breakpoints_mst,
     connector_sum,
     integrate_mst,
     mst_allocate,
     mst_core_allocate,
     mst_raw_sensitivity_bound,
     mst_sensitivity_bound,
-    round_weights_mst,
 )
 from .shapley import (
     matching_lower_bound_value,

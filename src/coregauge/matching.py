@@ -56,7 +56,7 @@ def greedy_allocate(
 ) -> GreedyTrace:
     """The greedy run on the weights rounded at offset ``b``."""
     _require_matching(inst)
-    return _greedy(inst, round_weights(weights, b, base).rounded)
+    return _greedy(inst, round_weights(weights, b, base))
 
 
 def integrate_matching(

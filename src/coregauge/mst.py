@@ -24,14 +24,7 @@ from typing import NamedTuple, Sequence
 from .games import ROOT, Allocation, GameInstance, GameKind
 from .matching import normalize_welfare
 from .oracles import _kruskal_order, _mst_value, mask_of
-from .rounding import (
-    RoundedWeights,
-    RoundingSchedule,
-    breakpoints,
-    offset_average,
-    round_weights,
-    within_rounding_range,
-)
+from .rounding import breakpoints, offset_average, round_weights, within_rounding_range
 
 MST_BASE = 2.0
 
@@ -39,15 +32,6 @@ MST_BASE = 2.0
 def _require_mst(inst: GameInstance) -> None:
     if inst.kind is not GameKind.MIN_SPANNING_TREE:
         raise ValueError("this allocator requires a spanning-tree game")
-
-
-def round_weights_mst(weights: Sequence[float], b: float) -> RoundedWeights:
-    """Geometric rounding with the base fixed at 2."""
-    return round_weights(weights, b, MST_BASE)
-
-
-def breakpoints_mst(weights: Sequence[float]) -> RoundingSchedule:
-    return breakpoints(weights, MST_BASE)
 
 
 class TreeNode(NamedTuple):
@@ -170,13 +154,13 @@ def offset_dendrogram(inst: GameInstance, weights: Sequence[float], b: float) ->
     """
     exact = auxiliary_tree(inst, weights)
     top = exact.nodes[-1].height
-    return auxiliary_tree(inst, round_weights_mst([min(w, top) for w in weights], b).rounded)
+    return auxiliary_tree(inst, round_weights([min(w, top) for w in weights], b, MST_BASE))
 
 
 def mst_allocate(inst: GameInstance, weights: Sequence[float], b: float) -> Allocation:
     """Fixed-offset cost shares: the exact dendrogram's heights rounded at ``b``."""
     tree = auxiliary_tree(inst, weights)
-    return Allocation.of(_shares(tree, round_weights_mst(_heights(tree), b).rounded, inst.n))
+    return Allocation.of(_shares(tree, round_weights(_heights(tree), b, MST_BASE), inst.n))
 
 
 def _tree_integral(tree: AuxiliaryTree, heights: Sequence[float], n: int) -> Allocation:

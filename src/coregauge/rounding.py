@@ -42,15 +42,6 @@ def rounding_exponent(w: float, b: float, base: float) -> int:
 
 
 @dataclass(frozen=True)
-class RoundedWeights:
-    """Rounded weight vector at one offset: ``rounded[e]`` is
-    base**(i + 1 + b) for the rounding exponent i of a positive weight,
-    and 0.0 for a zero weight."""
-
-    rounded: tuple[float, ...]
-
-
-@dataclass(frozen=True)
 class RoundingSchedule:
     """The rounding of one weight vector at every offset in [0, 1].
 
@@ -126,16 +117,16 @@ def breakpoints(weights: Sequence[float], base: float) -> RoundingSchedule:
     return RoundingSchedule(base, tuple(weights), tuple(exponents), tuple(points))
 
 
-def round_weights(weights: Sequence[float], b: float, base: float) -> RoundedWeights:
-    """Snap each positive weight up to base**(i + 1 + b), where i is its
-    ``rounding_exponent`` at offset ``b``; a zero weight stays 0.0."""
+def round_weights(weights: Sequence[float], b: float, base: float) -> tuple[float, ...]:
+    """The weights rounded at offset ``b``: a positive weight snaps up to
+    base**(i + 1 + b), i its ``rounding_exponent`` at ``b``; a zero stays 0.0."""
     starts = _start_exponents(weights, base)
     if not 0.0 <= b <= 1.0:
         raise ValueError(f"offset must lie in [0, 1], got {b}")
     levels = {k: _power(base, k + b) for k in _level_keys(starts)}
     # tuple(<list>) is built at its exact size; tuple(<generator>) grows by
     # resizing, which leaves CPython's per-size tuple freelists full
-    return RoundedWeights(tuple(_snap(weights, starts, levels)))
+    return tuple(_snap(weights, starts, levels))
 
 
 def offset_average(

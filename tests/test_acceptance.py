@@ -21,8 +21,8 @@ from coregauge.matching import matching_core_allocate
 from coregauge.mst import mst_core_allocate
 from coregauge.instances import gen_path_pair_bumped, gen_path_pair_zero_ends, gen_random
 from coregauge.matching import greedy_allocate, integrate_matching
-from coregauge.rounding import breakpoints as breakpoints_matching, round_weights as round_weights_matching
-from coregauge.mst import breakpoints_mst, integrate_mst, mst_allocate, round_weights_mst
+from coregauge.rounding import breakpoints, round_weights
+from coregauge.mst import integrate_mst, mst_allocate
 from coregauge.oracles import char_table
 from coregauge.rounding import differing_offset_measure
 from coregauge.shapley import matching_lower_bound_value, shapley_exact
@@ -155,7 +155,7 @@ def test_c06_integral_exactness(matching_corpus, mst_corpus):
             assert np.all(np.abs(closed - mean) <= 3.0 * se + 1e-12), (i, inst)
             rng = np.random.default_rng(90_000 + i)
             _check_interval_scaling(
-                breakpoints_matching(inst.weights, base).points,
+                breakpoints(inst.weights, base).points,
                 lambda b: np.asarray(greedy_allocate(inst, inst.weights, b, base).raw),
                 base,
                 rng,
@@ -166,7 +166,7 @@ def test_c06_integral_exactness(matching_corpus, mst_corpus):
             assert np.all(np.abs(closed - mean) <= 3.0 * se + 1e-12), (i, inst)
             rng = np.random.default_rng(95_000 + i)
             _check_interval_scaling(
-                breakpoints_mst(inst.weights).points,
+                breakpoints(inst.weights, 2.0).points,
                 lambda b: mst_allocate(inst, inst.weights, b).as_array(),
                 2.0,
                 rng,
@@ -237,8 +237,8 @@ def test_c10_connector_identity():
     with report("10: connector sums equal the rounded tree cost at V, bound it below elsewhere"):
         corpus = _corpus(GameKind.MIN_SPANNING_TREE, 100, 8, (0.3, 0.6), 60_000)
         for inst in corpus:
-            for mid in breakpoints_mst(inst.weights).midpoints():
-                rounded = round_weights_mst(inst.weights, mid).rounded
+            for mid in breakpoints(inst.weights, 2.0).midpoints():
+                rounded = round_weights(inst.weights, mid, 2.0)
                 tree = auxiliary_tree(inst, rounded)
                 on_rounded = inst.with_weights(rounded)
                 full = mst_weight(on_rounded, range(inst.n))
@@ -262,8 +262,8 @@ def test_c11_fixed_offset_difference_bounds(matching_probe_corpus, mst_probe_cor
                 delta = w_f / 10.0
                 bumped = perturb(inst.weights, e.id, delta)
                 for b in rng.uniform(0.0, 1.0, size=5):
-                    r1 = round_weights_matching(inst.weights, b, base).rounded[e.id]
-                    r2 = round_weights_matching(bumped, b, base).rounded[e.id]
+                    r1 = round_weights(inst.weights, b, base)[e.id]
+                    r2 = round_weights(bumped, b, base)[e.id]
                     z1 = greedy_allocate(inst, inst.weights, b, base).raw
                     z2 = greedy_allocate(inst, bumped, b, base).raw
                     if r1 == r2:
@@ -276,8 +276,8 @@ def test_c11_fixed_offset_difference_bounds(matching_probe_corpus, mst_probe_cor
                 delta = w_f / 10.0
                 bumped = perturb(inst.weights, e.id, delta)
                 for b in rng.uniform(0.0, 1.0, size=5):
-                    r1 = round_weights_mst(inst.weights, b).rounded[e.id]
-                    r2 = round_weights_mst(bumped, b).rounded[e.id]
+                    r1 = round_weights(inst.weights, b, 2.0)[e.id]
+                    r2 = round_weights(bumped, b, 2.0)[e.id]
                     z1 = mst_allocate(inst, inst.weights, b)
                     z2 = mst_allocate(inst, bumped, b)
                     if r1 == r2:

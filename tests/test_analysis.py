@@ -342,6 +342,15 @@ def test_named_exact_core_raises_on_empty_core():
         named_allocator("exact-core")(tri)
 
 
+def test_named_exact_core_returns_the_solver_point():
+    inst = mst_instance(2, [(ROOT, 0, 1.0), (ROOT, 1, 4.0), (0, 1, 2.0)])
+    solve = named_allocator("exact-core")
+    assert solve(inst) == exact_core_solve(inst).values
+    report = lipschitz_scan(solve, inst, 2.0, name="exact-core")  # a tree game's core is never empty
+    probes = [(e.id, delta) for e in inst.edges for delta in probe_deltas(inst.weights[e.id])]
+    assert [(row.edge_id, row.delta) for row in report.rows] == probes
+
+
 def test_bird_style_parent_edge_shares_jump_while_ours_do_not():
     # classic instability of paying your parent edge in the optimal tree:
     # two near-tied routes flip on a tiny bump

@@ -136,7 +136,7 @@ def test_greedy_scans_heavier_edges_first_and_ties_by_id(seed):
     inst = random_game(GameKind.MATCHING, 8, seed, "ties" if seed % 2 else "zeros")
     for b in (0.0, 0.3, 1.0):
         trace = greedy_allocate(inst, inst.weights, b, 2.0)
-        assert (trace.matching, trace.raw) == reference_greedy(inst, round_weights(inst.weights, b, 2.0).rounded)
+        assert (trace.matching, trace.raw) == reference_greedy(inst, round_weights(inst.weights, b, 2.0))
 
 
 def reference_offset_average(schedule, rule):
@@ -144,7 +144,7 @@ def reference_offset_average(schedule, rule):
     for lo, hi in schedule.intervals():
         mid = (lo + hi) / 2.0
         factor = (schedule.base ** (hi - mid) - schedule.base ** (lo - mid)) / math.log(schedule.base)
-        part = [x * factor for x in rule(round_weights(schedule.weights, mid, schedule.base).rounded)]
+        part = [x * factor for x in rule(round_weights(schedule.weights, mid, schedule.base))]
         total = part if total is None else [t + x for t, x in zip(total, part)]
     return tuple(total or [])
 
@@ -200,7 +200,7 @@ WEIGHTS = st.one_of(
 )
 @settings(max_examples=300, deadline=None)
 def test_round_weights_is_the_defining_rounding(weights, b, base):
-    direct = rounding_outcome(lambda: round_weights(weights, b, base).rounded)
+    direct = rounding_outcome(lambda: round_weights(weights, b, base))
     assert direct == rounding_outcome(lambda: defined_rounding(weights, b, base))
 
 

@@ -15,8 +15,7 @@ from coregauge.matching import (
 )
 from coregauge.games import Allocation
 from coregauge.oracles import agents_of, char_table, max_weight_matching
-from coregauge.rounding import breakpoints as breakpoints_matching, round_weights as round_weights_matching
-from coregauge.rounding import differing_offset_measure, rounding_exponent
+from coregauge.rounding import breakpoints, differing_offset_measure, round_weights, rounding_exponent
 
 from conftest import matching_instance, mst_instance
 from mc_oracle import mc_matching_samples, mc_mean_and_se
@@ -27,10 +26,10 @@ SINGLE = matching_instance(2, [(0, 1, 1.0)])
 
 def test_rounding_examples():
     assert rounding_exponent(1.0, 0.5, 2.0) == -1
-    assert round_weights_matching([1.0], 0.5, 2.0).rounded == (2**0.5,)
+    assert round_weights([1.0], 0.5, 2.0) == (2**0.5,)
     assert rounding_exponent(2.0, 0.0, 2.0) == 1
-    assert round_weights_matching([2.0], 0.0, 2.0).rounded == (4.0,)
-    assert round_weights_matching([0.0], 0.3, 1.5).rounded == (0.0,)
+    assert round_weights([2.0], 0.0, 2.0) == (4.0,)
+    assert round_weights([0.0], 0.3, 1.5) == (0.0,)
 
 
 @pytest.mark.parametrize("alpha", [1.1, 1.5, 2.0])
@@ -38,8 +37,8 @@ def test_rounding_examples():
 def test_rounding_defining_inequality_and_upper_bound(alpha, b):
     rng = np.random.default_rng(7)
     weights = list(rng.uniform(0.001, 50.0, size=40)) + [1.0, 2.0, alpha, alpha**3]
-    rw = round_weights_matching(weights, b, alpha)
-    for w, hat in zip(weights, rw.rounded):
+    rw = round_weights(weights, b, alpha)
+    for w, hat in zip(weights, rw):
         i = rounding_exponent(w, b, alpha)
         assert alpha ** (i + b) <= w < alpha ** (i + 1 + b)
         assert hat == alpha ** (i + 1 + b)
@@ -48,9 +47,9 @@ def test_rounding_defining_inequality_and_upper_bound(alpha, b):
 
 def test_rounding_rejects_bad_base():
     with pytest.raises(ValueError):
-        round_weights_matching([1.0], 0.0, 2.5)
+        round_weights([1.0], 0.0, 2.5)
     with pytest.raises(ValueError):
-        round_weights_matching([1.0], 0.0, 1.0)
+        round_weights([1.0], 0.0, 1.0)
 
 
 def test_matching_integral_refuses_a_tree_game():
@@ -62,18 +61,18 @@ def test_matching_integral_refuses_a_tree_game():
 @pytest.mark.parametrize("weight", [math.inf, math.nan])
 def test_rounding_rejects_a_weight_that_is_not_finite(weight):
     with pytest.raises(ValueError, match="not finite"):
-        round_weights_matching([1.0, weight], 0.5, 2.0)
+        round_weights([1.0, weight], 0.5, 2.0)
     with pytest.raises(ValueError, match="not finite"):
-        breakpoints_matching([weight], 1.5)
+        breakpoints([weight], 1.5)
 
 
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: round_weights_matching([1.7e308], 0.0, 1.5),
+        lambda: round_weights([1.7e308], 0.0, 1.5),
         lambda: integrate_matching(matching_instance(2, [(0, 1, 1.7e308)]), [1.7e308], 1.5),
-        lambda: round_weights_matching([1.7e308], 0.5, 2.0),
-        lambda: round_weights_matching([sys.float_info.max], 0.999, 2.0),
+        lambda: round_weights([1.7e308], 0.5, 2.0),
+        lambda: round_weights([sys.float_info.max], 0.999, 2.0),
     ],
     ids=["round_weights", "integrate_matching", "round_weights-at-an-offset", "round_weights-float-max"],
 )
@@ -111,9 +110,9 @@ def test_offset_average_refuses_on_the_weights_alone(big, fits):
 def test_rounding_that_fits_the_float_range_is_returned():
     # the level above the weight's offset-0 exponent is past the range, but
     # the weight's own rounding at these offsets is not
-    assert round_weights_matching([1e308], 0.9, 1.5).rounded == (1.5**1749.9,)
-    assert round_weights_matching([1.7e308], 0.95, 2.0).rounded == (2.0**1023.95,)
-    assert breakpoints_matching([1.7e308], 2.0).start_exponents == (1023,)
+    assert round_weights([1e308], 0.9, 1.5) == (1.5**1749.9,)
+    assert round_weights([1.7e308], 0.95, 2.0) == (2.0**1023.95,)
+    assert breakpoints([1.7e308], 2.0).start_exponents == (1023,)
 
 
 @pytest.mark.parametrize("base", [2.0, 1.5])
@@ -138,7 +137,7 @@ def test_rounding_exponent_at_powers_of_the_base(base):
             for b in (0.0, 0.3, 0.999, 1.0):
                 i = rounding_exponent(w, b, base)
                 assert base ** (i + b) <= w < base ** (i + 1 + b), (w, b)
-                assert round_weights_matching((w,), b, base).rounded == (base ** (i + 1 + b),), (w, b)
+                assert round_weights((w,), b, base) == (base ** (i + 1 + b),), (w, b)
 
 
 def test_greedy_hand_run_examples():
@@ -165,7 +164,7 @@ def test_greedy_tie_break_prefers_lower_edge_id():
 @pytest.mark.parametrize("seed", range(10))
 def test_greedy_invariants_matching_is_maximal_and_l1_matches(seed):
     inst = gen_random(GameKind.MATCHING, 8, 0.5, 10.0, seed)
-    rw = round_weights_matching(inst.weights, 0.37, 1.5)
+    rw = round_weights(inst.weights, 0.37, 1.5)
     trace = greedy_allocate(inst, inst.weights, 0.37, 1.5)
     covered = set()
     for eid in trace.matching:
@@ -173,31 +172,31 @@ def test_greedy_invariants_matching_is_maximal_and_l1_matches(seed):
         assert e.u not in covered and e.v not in covered
         covered.update((e.u, e.v))
     for e in inst.edges:  # maximality over positive rounded weights
-        if rw.rounded[e.id] > 0:
+        if rw[e.id] > 0:
             assert e.id in trace.matching or e.u in covered or e.v in covered
     assert math.fsum(trace.raw) == pytest.approx(
-        2 * math.fsum(rw.rounded[eid] for eid in trace.matching), rel=1e-12
+        2 * math.fsum(rw[eid] for eid in trace.matching), rel=1e-12
     )
 
 
 def test_breakpoints_examples():
-    assert breakpoints_matching([2.0, 1.0], 2.0).points == (0.0, 1.0)
-    pts = breakpoints_matching([3.0], 2.0).points
+    assert breakpoints([2.0, 1.0], 2.0).points == (0.0, 1.0)
+    pts = breakpoints([3.0], 2.0).points
     assert len(pts) == 3
     assert pts[1] == pytest.approx(math.log2(3) - 1, abs=1e-12)
-    assert breakpoints_matching([0.0, 0.0], 2.0).points == (0.0, 1.0)
+    assert breakpoints([0.0, 0.0], 2.0).points == (0.0, 1.0)
 
 
 def test_breakpoints_merge_colliding_values():
     # weights in exact ratio alpha**k share a breakpoint
-    pts = breakpoints_matching([3.0, 6.0, 12.0], 2.0).points
+    pts = breakpoints([3.0, 6.0, 12.0], 2.0).points
     assert len(pts) == 3
 
 
 @pytest.mark.parametrize("seed,alpha", [(s, a) for s in range(4) for a in (1.1, 1.5, 2.0)])
 def test_breakpoint_intervals_have_constant_exponents(seed, alpha):
     inst = gen_random(GameKind.MATCHING, 7, 0.6, 10.0, seed)
-    decomp = breakpoints_matching(inst.weights, alpha)
+    decomp = breakpoints(inst.weights, alpha)
     for lo, hi in decomp.intervals():
         probes = [lo + (hi - lo) * t for t in (0.1, 0.5, 0.9)]
         expos = [
@@ -232,7 +231,7 @@ def test_within_interval_scaling(seed):
     inst = gen_random(GameKind.MATCHING, 6, 0.6, 10.0, seed)
     alpha = 1.5
     rng = np.random.default_rng(seed)
-    for lo, hi in breakpoints_matching(inst.weights, alpha).intervals():
+    for lo, hi in breakpoints(inst.weights, alpha).intervals():
         for _ in range(4):
             b1, b2 = sorted(lo + (hi - lo) * rng.uniform(0.01, 0.99, size=2))
             z1 = np.asarray(greedy_allocate(inst, inst.weights, b1, alpha).raw)
@@ -249,9 +248,9 @@ def test_raw_norm_upper_bound_and_coalition_lower_bound(seed):
         trace = greedy_allocate(inst, inst.weights, b, alpha)
         assert math.fsum(trace.raw) <= 2 * alpha * opt + 1e-9
         # every edge is dominated by its endpoints' payouts
-        rw = round_weights_matching(inst.weights, b, alpha)
+        rw = round_weights(inst.weights, b, alpha)
         for e in inst.edges:
-            assert rw.rounded[e.id] <= trace.raw[e.u] + trace.raw[e.v] + 1e-12
+            assert rw[e.id] <= trace.raw[e.u] + trace.raw[e.v] + 1e-12
         # hence every coalition is covered at least up to its own value
         table = char_table(inst)
         for smask in range(1 << inst.n):
@@ -271,14 +270,14 @@ def test_single_edge_bump_fixed_offset_bound(seed):
     delta = w_f * 0.5 if w_f > 0 else 0.3
     bumped = perturb(inst.weights, eid, delta)
     for b in rng.uniform(0, 1, size=12):
-        rw = round_weights_matching(inst.weights, b, alpha)
-        rw2 = round_weights_matching(bumped, b, alpha)
+        rw = round_weights(inst.weights, b, alpha)
+        rw2 = round_weights(bumped, b, alpha)
         z1 = greedy_allocate(inst, inst.weights, b, alpha).raw
         z2 = greedy_allocate(inst, bumped, b, alpha).raw
-        if rw.rounded[eid] == rw2.rounded[eid]:
+        if rw[eid] == rw2[eid]:
             assert z1 == z2  # bit-identical
         else:
-            assert l1_distance(z1, z2) <= 2 * rw2.rounded[eid] + 1e-9
+            assert l1_distance(z1, z2) <= 2 * rw2[eid] + 1e-9
 
 
 @pytest.mark.parametrize("alpha", [1.1, 1.5, 2.0])

@@ -10,16 +10,14 @@ from coregauge.instances import gen_random
 from coregauge.matching import normalize_welfare
 from coregauge.mst import (
     auxiliary_tree,
-    breakpoints_mst,
     connector_sum,
     integrate_mst,
     mst_allocate,
     mst_core_allocate,
     offset_dendrogram,
-    round_weights_mst,
 )
 from coregauge.oracles import agents_of, mst_weight
-from coregauge.rounding import rounding_exponent
+from coregauge.rounding import breakpoints, round_weights, rounding_exponent
 
 from conftest import matching_instance, mst_instance
 from mc_oracle import mc_mean_and_se, mc_mst_samples
@@ -28,12 +26,12 @@ MST3 = mst_instance(2, [(ROOT, 0, 1.0), (ROOT, 1, 4.0), (0, 1, 2.0)])
 SINGLE = mst_instance(1, [(ROOT, 0, 1.0)])
 
 
-def test_round_weights_mst_examples():
+def test_round_weights_at_base_two_examples():
     assert rounding_exponent(1.0, 0.0, 2.0) == 0
-    assert round_weights_mst([1.0], 0.0).rounded == (2.0,)
+    assert round_weights([1.0], 0.0, 2.0) == (2.0,)
     assert rounding_exponent(3.0, 0.0, 2.0) == 1
-    assert round_weights_mst([3.0], 0.0).rounded == (4.0,)
-    assert round_weights_mst([0.0], 0.4).rounded == (0.0,)
+    assert round_weights([3.0], 0.0, 2.0) == (4.0,)
+    assert round_weights([0.0], 0.4, 2.0) == (0.0,)
 
 
 # agent 1 has no edge at all; validate_instance would reject this game
@@ -93,7 +91,7 @@ def test_auxiliary_tree_zero_weight_edges_merge_at_height_zero():
 @pytest.mark.parametrize("seed", range(10))
 def test_tree_structure_invariants(seed):
     inst = gen_random(GameKind.MIN_SPANNING_TREE, 7, 0.5, 10.0, seed)
-    rounded = round_weights_mst(inst.weights, 0.41).rounded
+    rounded = round_weights(inst.weights, 0.41, 2.0)
     tree = auxiliary_tree(inst, rounded)
     leaves = [nd for nd in tree.nodes if nd.leaf is not None]
     assert sorted(nd.leaf for nd in leaves) == sorted([ROOT] + list(range(inst.n)))
@@ -120,7 +118,7 @@ def test_mst_allocate_hand_run():
 def test_mst_allocate_single_agent_gets_rounded_root_edge():
     for b in (0.0, 0.33, 0.9):
         z = mst_allocate(SINGLE, SINGLE.weights, b)
-        assert z.values[0] == round_weights_mst(SINGLE.weights, b).rounded[0]
+        assert z.values[0] == round_weights(SINGLE.weights, b, 2.0)[0]
 
 
 def _per_edge_shares(inst, rounded):
@@ -163,7 +161,7 @@ def test_mst_allocate_matches_the_per_edge_definition(seed):
     if seed % 2:  # integer weights, zeros included: ties within and across levels
         inst = inst.with_weights(tuple(float(w) for w in rng.integers(0, 5, size=inst.m)))
     for b in (0.0, 0.5, *rng.uniform(0, 1, size=3)):
-        want = _per_edge_shares(inst, round_weights_mst(inst.weights, b).rounded)
+        want = _per_edge_shares(inst, round_weights(inst.weights, b, 2.0))
         got = mst_allocate(inst, inst.weights, b).values
         assert sum(abs(g - w) for g, w in zip(got, want)) <= 1e-12 * max(sum(want), 1e-300)
 
@@ -183,7 +181,7 @@ def test_offset_dendrogram_equals_the_whole_graph_dendrogram(seed):
     # a batch that set-iteration order would number differently
     inst, offsets = _offset_instance(seed)
     for b in offsets:
-        whole = auxiliary_tree(inst, round_weights_mst(inst.weights, b).rounded)
+        whole = auxiliary_tree(inst, round_weights(inst.weights, b, 2.0))
         assert offset_dendrogram(inst, inst.weights, b).to_dict() == whole.to_dict()
 
 
@@ -303,7 +301,7 @@ def test_connector_examples():
 def test_connector_identity_and_upper_bound(seed):
     inst = gen_random(GameKind.MIN_SPANNING_TREE, 6, 0.5, 10.0, seed)
     for b in (0.1, 0.62):
-        rounded = round_weights_mst(inst.weights, b).rounded
+        rounded = round_weights(inst.weights, b, 2.0)
         tree = auxiliary_tree(inst, rounded)
         on_rounded = inst.with_weights(rounded)
         full = mst_weight(on_rounded, range(inst.n))
@@ -313,11 +311,11 @@ def test_connector_identity_and_upper_bound(seed):
             assert connector_sum(tree, S) <= mst_weight(on_rounded, S) + 1e-9
 
 
-def test_breakpoints_mst_examples():
-    assert breakpoints_mst([1.0, 2.0, 4.0]).points == (0.0, 1.0)
-    pts = breakpoints_mst([3.0]).points
+def test_breakpoints_at_base_two_examples():
+    assert breakpoints([1.0, 2.0, 4.0], 2.0).points == (0.0, 1.0)
+    pts = breakpoints([3.0], 2.0).points
     assert pts[1] == pytest.approx(math.log2(3) - 1)
-    assert breakpoints_mst([0.0]).points == (0.0, 1.0)
+    assert breakpoints([0.0], 2.0).points == (0.0, 1.0)
 
 
 def test_integrate_single_agent_closed_form():
@@ -333,10 +331,10 @@ def test_integrate_sums_the_per_edge_definition_over_the_intervals(seed):
     if seed % 2:  # integer weights, zeros included
         inst = inst.with_weights(tuple(float(w) for w in rng.integers(0, 5, size=inst.m)))
     want = [0.0] * inst.n
-    for lo, hi in breakpoints_mst(inst.weights).intervals():
+    for lo, hi in breakpoints(inst.weights, 2.0).intervals():
         mid = (lo + hi) / 2.0
         factor = (2.0 ** (hi - mid) - 2.0 ** (lo - mid)) / math.log(2.0)
-        shares = _per_edge_shares(inst, round_weights_mst(inst.weights, mid).rounded)
+        shares = _per_edge_shares(inst, round_weights(inst.weights, mid, 2.0))
         want = [x + factor * z for x, z in zip(want, shares)]
     got = integrate_mst(inst, inst.weights).values
     assert sum(abs(g - w) for g, w in zip(got, want)) <= 1e-12 * max(sum(want), 1e-300)
@@ -437,7 +435,7 @@ def test_integrate_matches_monte_carlo_at_tiny_scales(exponent):
 def test_within_interval_scaling(seed):
     inst = gen_random(GameKind.MIN_SPANNING_TREE, 5, 0.5, 10.0, seed)
     rng = np.random.default_rng(seed)
-    for lo, hi in breakpoints_mst(inst.weights).intervals():
+    for lo, hi in breakpoints(inst.weights, 2.0).intervals():
         for _ in range(4):
             b1, b2 = sorted(lo + (hi - lo) * rng.uniform(0.01, 0.99, size=2))
             z1 = mst_allocate(inst, inst.weights, b1).as_array()
@@ -454,8 +452,8 @@ def test_single_edge_bump_fixed_offset_bound(seed):
     delta = w_f * 0.6
     bumped = perturb(inst.weights, eid, delta)
     for b in rng.uniform(0, 1, size=12):
-        r1 = round_weights_mst(inst.weights, b).rounded
-        r2 = round_weights_mst(bumped, b).rounded
+        r1 = round_weights(inst.weights, b, 2.0)
+        r2 = round_weights(bumped, b, 2.0)
         z1 = mst_allocate(inst, inst.weights, b)
         z2 = mst_allocate(inst, bumped, b)
         if r1[eid] == r2[eid]:

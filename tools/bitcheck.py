@@ -5,10 +5,10 @@ Usage:
 
 PARENT_DIR is a checkout of the commit to compare with (a ``git worktree``
 or an unpacked ``git archive``); its package is imported from
-``PARENT_DIR/src``. A fixed seeded corpus of spanning-tree games and of
-weight pairs runs through named public functions twice, in one subprocess
-on this tree's ``src`` and in one on ``PARENT_DIR/src``. Per function the
-report gives:
+``PARENT_DIR/src``. A fixed seeded corpus of spanning-tree games, of
+matching games and of weight pairs runs through named public functions
+twice, in one subprocess on this tree's ``src`` and in one on
+``PARENT_DIR/src``. Per function the report gives:
 
 - identical: both return the same output, every float equal as ``float.hex``
   (and a dendrogram the same nodes);
@@ -18,9 +18,11 @@ report gives:
 - refusals lifted: the parent raises and this tree returns an output;
 - both refuse: both raise, and how many of those with another message.
 
-The corpus (TREE_GAMES tree games, WEIGHT_PAIRS weight pairs) uses only
-the stdlib's seeded ``random.Random``, so it is the same in both
-subprocesses and does not depend on the package's own generators.
+The corpus (TREE_GAMES tree games, MATCHING_GAMES matching games,
+WEIGHT_PAIRS weight pairs) uses only the stdlib's seeded ``random.Random``,
+so it is the same in both subprocesses and does not depend on the
+package's own generators. A rounding that comes back as an object with a
+``rounded`` field (older checkouts) is compared through that field.
 """
 
 from __future__ import annotations
@@ -38,11 +40,23 @@ from pathlib import Path
 HERE_SRC = Path(__file__).resolve().parent.parent / "src"
 
 TREE_GAMES = 2000
+MATCHING_GAMES = 1000
 WEIGHT_PAIRS = 6000
 OFFSETS = (0.0, 0.25, 0.81, 1.0)
 TABLE_MAX_AGENTS = 10
 PAIR_BASES = (1.01, 1.1, 1.5, 2.0)
 FAMILIES = ("float", "integer", "power-of-two", "scaled")
+
+
+def _family_weights(rng: random.Random, family: str, count: int) -> list[float]:
+    if family == "float":
+        return [rng.uniform(0.0, 10.0) for _ in range(count)]
+    if family == "integer":  # ties and zeros
+        return [float(rng.randint(0, 4)) for _ in range(count)]
+    if family == "power-of-two":
+        return [2.0 ** rng.randint(-6, 6) for _ in range(count)]
+    scale = 10.0 ** rng.choice((300, -300))
+    return [rng.uniform(0.0, 10.0) * scale for _ in range(count)]
 
 
 def tree_games(count: int):
@@ -58,16 +72,20 @@ def tree_games(count: int):
         if rng.random() < 0.1:
             del pairs[rng.randrange(n)]
         pairs += [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < prob]
-        family = FAMILIES[index // 2 % len(FAMILIES)]
-        if family == "float":
-            weights = [rng.uniform(0.0, 10.0) for _ in pairs]
-        elif family == "integer":  # ties and zeros
-            weights = [float(rng.randint(0, 4)) for _ in pairs]
-        elif family == "power-of-two":
-            weights = [2.0 ** rng.randint(-6, 6) for _ in pairs]
-        else:
-            scale = 10.0 ** rng.choice((300, -300))
-            weights = [rng.uniform(0.0, 10.0) * scale for _ in pairs]
+        weights = _family_weights(rng, FAMILIES[index // 2 % len(FAMILIES)], len(pairs))
+        yield n, [(u, v, w) for (u, v), w in zip(pairs, weights)]
+
+
+def matching_games(count: int):
+    """Seeded matching games as (n, [(u, v, w)]), n from 1 to 20 (every
+    other game has at most TABLE_MAX_AGENTS agents), with the weight family
+    cycling through FAMILIES."""
+    for index in range(count):
+        rng = random.Random(f"bitcheck-matching-{index}")
+        n = rng.randint(1, TABLE_MAX_AGENTS) if index % 2 else rng.randint(1, 20)
+        prob = rng.uniform(0.05, 0.6)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < prob]
+        weights = _family_weights(rng, FAMILIES[index // 2 % len(FAMILIES)], len(pairs))
         yield n, [(u, v, w) for (u, v), w in zip(pairs, weights)]
 
 
@@ -102,9 +120,10 @@ def _run(src: str, out_path: str) -> None:
     sys.path.insert(0, src)
     import coregauge
     from coregauge.games import ROOT, Edge, GameInstance, GameKind
+    from coregauge.matching import greedy_allocate, integrate_matching, matching_core_allocate
     from coregauge.mst import auxiliary_tree, integrate_mst, mst_allocate, mst_core_allocate, offset_dendrogram
-    from coregauge.oracles import coalition_values, mst_weight
-    from coregauge.rounding import differing_offset_measure
+    from coregauge.oracles import coalition_values, grand_matching_value, mst_weight
+    from coregauge.rounding import breakpoints, differing_offset_measure, round_weights
 
     if Path(coregauge.__file__).resolve().parent.parent != Path(src).resolve():
         raise SystemExit(f"imported coregauge from {coregauge.__file__}, not from {src}")
@@ -117,6 +136,16 @@ def _run(src: str, out_path: str) -> None:
     def floats(values):
         return None, list(values)
 
+    def rounded(result):
+        return None, list(getattr(result, "rounded", result))
+
+    def greedy(trace):
+        return list(trace.matching), trace.raw
+
+    def game(kind, n, edges):
+        return GameInstance(kind, n, tuple(Edge(i, ROOT if u == -1 else u, v) for i, (u, v, _) in enumerate(edges)),
+                            tuple(w for _, _, w in edges))
+
     with open(out_path, "w", encoding="utf-8") as out:
         def emit(name, case, call, encode):
             try:
@@ -127,9 +156,7 @@ def _run(src: str, out_path: str) -> None:
             out.write(json.dumps([name, case, record]) + "\n")
 
         for index, (n, edges) in enumerate(tree_games(TREE_GAMES)):
-            inst = GameInstance(GameKind.MIN_SPANNING_TREE, n,
-                                tuple(Edge(i, ROOT if u == -1 else u, v) for i, (u, v, _) in enumerate(edges)),
-                                tuple(w for _, _, w in edges))
+            inst = game(GameKind.MIN_SPANNING_TREE, n, edges)
             w = inst.weights
             emit("auxiliary_tree", index, lambda: auxiliary_tree(inst, w), dendrogram)
             for b in OFFSETS:
@@ -143,6 +170,21 @@ def _run(src: str, out_path: str) -> None:
                 emit("mst_weight", f"{index}.{k}", lambda: [mst_weight(inst, subset)], floats)
             if n <= TABLE_MAX_AGENTS:
                 emit("coalition_values", index, lambda: coalition_values(inst, w), floats)
+        for index, (n, edges) in enumerate(matching_games(MATCHING_GAMES)):
+            inst = game(GameKind.MATCHING, n, edges)
+            w = inst.weights
+            for base in PAIR_BASES:
+                emit(f"breakpoints base={base}", index, lambda: breakpoints(w, base).points, floats)
+                for b in OFFSETS:
+                    emit(f"round_weights base={base} b={b}", index, lambda: round_weights(w, b, base), rounded)
+                    emit(f"greedy_allocate base={base} b={b}", index, lambda: greedy_allocate(inst, w, b, base), greedy)
+                emit(f"integrate_matching base={base}", index, lambda: integrate_matching(inst, w, base).values, floats)
+            for eps in (0.05, 0.25):
+                emit(f"matching_core_allocate eps={eps}", index,
+                     lambda: matching_core_allocate(inst, w, eps).values, floats)
+            emit("grand_matching_value", index, lambda: [grand_matching_value(inst, w)], floats)
+            if n <= TABLE_MAX_AGENTS:
+                emit("coalition_values matching", index, lambda: coalition_values(inst, w), floats)
         for index, (before, after, base) in enumerate(weight_pairs(WEIGHT_PAIRS)):
             emit("differing_offset_measure", index,
                  lambda: [differing_offset_measure(before, after, base)], floats)
@@ -188,11 +230,11 @@ def compare(parent_dir: str) -> int:
                 row["differ"] += 1
                 gap = math.inf if old[1] != new[1] else _relative_l1(old[2], new[2])
                 row["max_rel_l1"] = max(row["max_rel_l1"], gap)
-    print(f"{'function':28} {'cases':>6} {'identical':>9} {'differ':>6} {'max rel l1':>10} "
+    print(f"{'function':38} {'cases':>6} {'identical':>9} {'differ':>6} {'max rel l1':>10} "
           f"{'refusals added':>14} {'lifted':>6} {'both refuse':>11} {'other msg':>9}")
     for name, row in stats.items():
         gap = f"{row['max_rel_l1']:.2e}" if row["differ"] else "-"
-        print(f"{name:28} {row['cases']:>6} {row['identical']:>9} {row['differ']:>6} {gap:>10} "
+        print(f"{name:38} {row['cases']:>6} {row['identical']:>9} {row['differ']:>6} {gap:>10} "
               f"{row['added']:>14} {row['lifted']:>6} {row['both']:>11} {row['other_message']:>9}")
     return 0
 
