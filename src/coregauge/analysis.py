@@ -186,7 +186,10 @@ def exact_core_solve(inst: GameInstance) -> Allocation | None:
         worst_mask, worst_slack = _worst(_slacks(inst.kind, nu, point, det)[1])
         if worst_slack >= 0:
             # int true division rounds correctly, as float() of the Fraction would
-            return Allocation.of([v / (det * scale) for v in point])
+            try:
+                return Allocation.of([v / (det * scale) for v in point])
+            except OverflowError:  # a coordinate past the float range
+                raise ValueError("a result exceeds the float range") from None
         active.append(worst_mask)
 
 
@@ -229,6 +232,18 @@ def probe_deltas(w_e: float) -> list[float]:
     return [10.0 ** -k for k in PROBE_EXPONENTS]
 
 
+def _probe_ratio(out: Sequence[float], base: Sequence[float], delta: float) -> float:
+    """l1 change per unit of weight change. An l1 sum past the float range
+    is taken on both vectors scaled by 2**-s, which keeps n terms of at
+    most twice the largest float finite, and the ratio is scaled back."""
+    try:
+        return l1_distance(out, base) / delta
+    except ValueError:
+        shift = (2 * len(out)).bit_length()
+        scaled = l1_distance([math.ldexp(x, -shift) for x in out], [math.ldexp(x, -shift) for x in base])
+        return scaled / delta * 2.0**shift
+
+
 Vectorizer = Callable[[GameInstance], Sequence[float]]
 
 
@@ -259,7 +274,7 @@ def lipschitz_scan(
         for delta in probe_deltas(w_e):
             bumped = inst.with_weights(perturb(inst.weights, e.id, delta))
             out = run(bumped, f"on edge {e.id} with delta {delta}")
-            rows.append(ProbeRow(e.id, w_e, delta, l1_distance(out, base) / delta))
+            rows.append(ProbeRow(e.id, w_e, delta, _probe_ratio(out, base, delta)))
     max_ratio = max((r.ratio for r in rows), default=0.0)
     return LipschitzReport(
         allocator=name,

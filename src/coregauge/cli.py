@@ -38,7 +38,7 @@ from .games import (
 )
 from .instances import gen_path_pair_bumped, gen_path_pair_zero_ends, gen_path_uniform, gen_random
 from .matching import matching_core_allocate, matching_core_factor, matching_sensitivity_bound
-from .mst import MST_CORE_FACTOR, mst_core_allocate, mst_sensitivity_bound, offset_dendrogram
+from .mst import MST_CORE_FACTOR, auxiliary_tree, mst_core_allocate, mst_sensitivity_bound
 from .oracles import char_table, char_value
 from .shapley import shapley_exact, shapley_sample
 
@@ -120,7 +120,7 @@ def allocate(instance_file: str, epsilon: float | None, dump_tree: str | None) -
         bound = matching_sensitivity_bound(epsilon)
     else:
         x = mst_core_allocate(inst, inst.weights)
-        tree = offset_dendrogram(inst, inst.weights, 0.0) if dump_tree is not None else None
+        tree = auxiliary_tree(inst, inst.weights, 0.0) if dump_tree is not None else None
         factor = MST_CORE_FACTOR
         bound = mst_sensitivity_bound()
         if tree is not None:

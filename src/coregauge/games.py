@@ -87,7 +87,7 @@ class Allocation:
         return len(self.values)
 
     def total(self) -> float:
-        return math.fsum(self.values)
+        return _fsum_in_range(self.values)
 
     def as_array(self):
         import numpy as np  # kept off the package's import path
@@ -140,13 +140,24 @@ def validate_instance(inst: GameInstance) -> tuple[str, ...]:
     return tuple(bad)
 
 
+def _fsum_in_range(values: Iterable[float]) -> float:
+    """``math.fsum(values)``, refused when the sum is past the float range."""
+    try:
+        total = math.fsum(values)
+    except OverflowError:  # fsum's partial sums overflowed
+        total = math.inf
+    if math.isinf(total):
+        raise ValueError("a result exceeds the float range")
+    return total
+
+
 def l1_distance(a: Allocation | Sequence[float], b: Allocation | Sequence[float]) -> float:
     """Sum of coordinatewise absolute differences over a shared index set."""
     av = a.values if isinstance(a, Allocation) else tuple(a)
     bv = b.values if isinstance(b, Allocation) else tuple(b)
     if len(av) != len(bv):
         raise ValueError(f"index sets differ: {len(av)} vs {len(bv)}")
-    return math.fsum(abs(x - y) for x, y in zip(av, bv))
+    return _fsum_in_range(abs(x - y) for x, y in zip(av, bv))
 
 
 def perturb(weights: Sequence[float], edge_id: int, delta: float) -> tuple[float, ...]:

@@ -7,7 +7,7 @@ and its height is that weight. Every dendrogram edge whose subtree
 avoids the supply vertex spreads the parent height evenly over the
 agents below it. Rounding up is monotone, so the dendrogram at every
 offset is a coarsening of the one dendrogram of the exact weights, and
-the allocators build only that one. Averaging over the rounding offset
+one Kruskal run builds either. Averaging over the rounding offset
 and rescaling to the true tree cost gives a 4-approximate core
 allocation whose l1 sensitivity to a single-edge change is at most
 20/ln2 + 1.
@@ -49,6 +49,7 @@ class AuxiliaryTree:
     internal node is a component labelled with its merge weight."""
 
     nodes: tuple[TreeNode, ...]  # the top, the last merge, comes last
+    cost: float  # the merge weights summed in Kruskal's order, as mst_weight sums them
 
     def to_dict(self) -> dict:
         return {
@@ -64,10 +65,13 @@ class AuxiliaryTree:
         }
 
 
-def _dendrogram(inst: GameInstance, weights: Sequence[float]) -> tuple[AuxiliaryTree, float]:
-    """Merge dendrogram of Kruskal's algorithm on the given weights, and
-    the spanning tree cost, both from one run of the oracle's Kruskal loop
-    (``_mst_value``) over all agents that records its merges.
+def auxiliary_tree(inst: GameInstance, weights: Sequence[float], b: float | None = None) -> AuxiliaryTree:
+    """Merge dendrogram of Kruskal's algorithm on ``weights``, or on them
+    rounded at offset ``b``, and its tree cost, from one run of the
+    oracle's Kruskal loop (``_mst_value``) over all agents that records its
+    merges. Rounding up is monotone, so that run's order and tree serve
+    every offset: each merge takes its weight rounded at ``b``, and no
+    other edge is rounded, so an unused heavy edge cannot pass the float range.
 
     Merges of equal weight form one batch; every component a batch
     creates becomes one node whose children, ascending, are the
@@ -80,17 +84,23 @@ def _dendrogram(inst: GameInstance, weights: Sequence[float]) -> tuple[Auxiliary
     n = inst.n
     merges: list[tuple] = []
     try:
-        total = _mst_value(_kruskal_order(inst, weights), (1 << n) - 1, n, merges)
+        _mst_value(_kruskal_order(inst, weights), (1 << n) - 1, n, merges)
     except ValueError:
         raise ValueError("graph is not connected; cannot build the merge dendrogram") from None
+    if b is not None:
+        rounded = round_weights([w for w, _, _ in merges], b, MST_BASE)
+        merges = [(w, a, r) for w, (_, a, r) in zip(rounded, merges)]
+    cost = 0.0
+    for w, _, _ in merges:  # a running sum: from Python 3.12 sum() compensates floats
+        cost += w
     nodes = [TreeNode(v, 0.0, (), v, 1 << v, False) for v in range(n)]
     nodes.append(TreeNode(n, 0.0, (), ROOT, 0, True))
     node_of = list(range(n + 1))  # dendrogram node of each union-find root; the supply is slot n
     for level, batch in groupby(merges, key=itemgetter(0)):
         absorbed: dict[int, list[int]] = {}  # surviving root -> child nodes
-        for _, a, b in batch:
+        for _, a, r in batch:
             kids = absorbed.setdefault(a, [node_of[a]])
-            kids += absorbed.pop(b, None) or [node_of[b]]
+            kids += absorbed.pop(r, None) or [node_of[r]]
         # disjoint sorted lists compare by their smallest child
         for kids, root in sorted((sorted(kids), root) for root, kids in absorbed.items()):
             nid = len(nodes)
@@ -98,12 +108,7 @@ def _dendrogram(inst: GameInstance, weights: Sequence[float]) -> tuple[Auxiliary
             supply = any(nodes[c].has_supply for c in kids)
             nodes.append(TreeNode(nid, level, tuple(kids), None, mask, supply))
             node_of[root] = nid
-    return AuxiliaryTree(tuple(nodes)), total
-
-
-def auxiliary_tree(inst: GameInstance, weights: Sequence[float]) -> AuxiliaryTree:
-    """Merge dendrogram of Kruskal's algorithm on the given weights."""
-    return _dendrogram(inst, weights)[0]
+    return AuxiliaryTree(tuple(nodes), cost)
 
 
 def _heights(tree: AuxiliaryTree) -> tuple[float, ...]:
@@ -111,9 +116,9 @@ def _heights(tree: AuxiliaryTree) -> tuple[float, ...]:
 
 
 def _shares(tree: AuxiliaryTree, rounded: Sequence[float], n: int) -> list[float]:
-    """Fixed-offset shares, with node i of the exact-weight dendrogram at
-    rounded height ``rounded[i]``. The rounded dendrogram is this one with
-    every child that rounds to its parent's height merged into the parent.
+    """Fixed-offset shares, with node i of ``tree`` at rounded height
+    ``rounded[i]``. The rounded dendrogram is this one with every child
+    that rounds to its parent's height merged into the parent.
     Each of its edges whose subtree avoids the supply vertex splits the
     parent height evenly over the agents below it. One pass from the top
     carries, per node, what each of its agents got from the edges above
@@ -144,23 +149,10 @@ def connector_sum(tree: AuxiliaryTree, S: Sequence[int] | set[int]) -> float:
     return total
 
 
-def offset_dendrogram(inst: GameInstance, weights: Sequence[float], b: float) -> AuxiliaryTree:
-    """Merge dendrogram of ``weights`` rounded at offset ``b``.
-
-    Rounding is monotone, so a weight above the heaviest spanning tree
-    edge rounds to the level of the last merge or above it. Capping it at
-    that edge's weight leaves the dendrogram as it is, and keeps the
-    rounding of an unused heavy edge inside the float range.
-    """
-    exact = auxiliary_tree(inst, weights)
-    top = exact.nodes[-1].height
-    return auxiliary_tree(inst, round_weights([min(w, top) for w in weights], b, MST_BASE))
-
-
 def mst_allocate(inst: GameInstance, weights: Sequence[float], b: float) -> Allocation:
-    """Fixed-offset cost shares: the exact dendrogram's heights rounded at ``b``."""
-    tree = auxiliary_tree(inst, weights)
-    return Allocation.of(_shares(tree, round_weights(_heights(tree), b, MST_BASE), inst.n))
+    """Fixed-offset cost shares, paid on the dendrogram at offset ``b``."""
+    tree = auxiliary_tree(inst, weights, b)
+    return Allocation.of(_shares(tree, _heights(tree), inst.n))
 
 
 def _tree_integral(tree: AuxiliaryTree, heights: Sequence[float], n: int) -> Allocation:
@@ -182,9 +174,9 @@ def integrate_mst(inst: GameInstance, weights: Sequence[float]) -> Allocation:
 def mst_core_allocate(inst: GameInstance, weights: Sequence[float]) -> Allocation:
     """Allocation in the 4-approximate core of the spanning-tree game,
     summing to the true minimum spanning tree cost."""
-    tree, grand = _dendrogram(inst, weights)  # Kruskal's own sum, as mst_weight
+    tree = auxiliary_tree(inst, weights)
     raw = _tree_integral(tree, within_rounding_range(_heights(tree)), inst.n)
-    return normalize_welfare(raw, grand)
+    return normalize_welfare(raw, tree.cost)
 
 
 MST_CORE_FACTOR = 4.0

@@ -390,6 +390,7 @@ def test_allocate_rejects_an_edge_record_that_is_not_an_object(runner, tmp_path)
     expect_input_error(result, "malformed edge record 5")
 
 
+MAX = sys.float_info.max
 HUGE_TREE = mst_instance(2, [(ROOT, 0, 1.7e308), (ROOT, 1, 1.7e308)])
 HUGE_PAIR = matching_instance(4, [(0, 1, 1.7e308), (2, 3, 1.7e308)])
 
@@ -409,9 +410,16 @@ HUGE_PAIR = matching_instance(4, [(0, 1, 1.7e308), (2, 3, 1.7e308)])
          "float range"),
         (mst_instance(1, [(ROOT, 0, 1.7e308)]), ["lipschitz", "--allocator", "mst-raw", "--bound", "15"],
          "float range"),
+        # the exact core point pays agent 0 about -1.5 times the largest float
+        (mst_instance(3, [(ROOT, 0, 2.0**1023), (ROOT, 1, MAX), (ROOT, 2, MAX),
+                          (0, 1, 1.0), (0, 2, 1.0), (1, 2, MAX)]),
+         ["lipschitz", "--allocator", "exact-core", "--bound", "100"], "float range"),
+        # two sampled payoffs near 9e307 sum past the largest float
+        (matching_instance(3, [(0, 1, MAX), (0, 2, 5e-324)]),
+         ["shapley", "--method", "sample", "--samples", "30"], "a result exceeds the float range"),
     ],
     ids=["mst-allocate", "matching-allocate", "matching-raw-lipschitz", "mst-lipschitz",
-         "shapley", "dump-tree", "mst-raw-lipschitz"],
+         "shapley", "dump-tree", "mst-raw-lipschitz", "exact-core-lipschitz", "shapley-sample-total"],
 )
 def test_values_beyond_the_float_range_exit_two(runner, tmp_path, inst, args, needle):
     path = tmp_path / "huge.json"
@@ -553,6 +561,20 @@ def test_lipschitz_probes_the_smallest_and_largest_weights(runner, tmp_path, wei
     payload = payload_of(result)
     assert payload["pass"] is True
     assert payload["probes"] and all(p["delta"] > 0 for p in payload["probes"])
+
+
+def test_lipschitz_ratio_of_an_l1_change_past_the_float_range(runner, tmp_path):
+    # bumping edge 0 by its own weight moves ~9e307 from agent 2 to agent 1:
+    # the l1 change is past the largest float, its ratio to the bump ~2
+    path = tmp_path / "triangle.json"
+    dump_instance(matching_instance(3, [(0, 1, 8.988465674311579e307), (0, 2, MAX),
+                                        (1, 2, 1.4524687906037625e308)]), str(path))
+    result = invoke(runner, ["lipschitz", str(path), "--allocator", "matching-core", "--epsilon", "0.25",
+                             "--bound", "49"])
+    assert result.exit_code == 0
+    payload = payload_of(result)
+    assert payload["pass"] is True
+    assert payload["max_ratio"] == pytest.approx(2.0, rel=1e-12)
 
 
 def test_lipschitz_matching_raw_on_an_edge_whose_rounding_fits_the_float_range(runner, tmp_path):

@@ -14,7 +14,6 @@ from coregauge.mst import (
     integrate_mst,
     mst_allocate,
     mst_core_allocate,
-    offset_dendrogram,
 )
 from coregauge.oracles import agents_of, mst_weight
 from coregauge.rounding import breakpoints, round_weights, rounding_exponent
@@ -176,13 +175,20 @@ def _offset_instance(seed):
 
 @pytest.mark.parametrize("seed", range(89, 101))
 def test_offset_dendrogram_equals_the_whole_graph_dendrogram(seed):
-    # offset_dendrogram caps the weights at the heaviest tree edge, which
-    # moves the heavier edges into the last batch; seed 89 at b=0.81 has
-    # a batch that set-iteration order would number differently
+    # the offset's dendrogram rounds only the tree edges of the exact
+    # weights' Kruskal run, while the whole graph's rounds every edge and
+    # breaks ties by edge id; seed 89 at b=0.81 has a batch that
+    # set-iteration order would number differently
     inst, offsets = _offset_instance(seed)
+    exact = auxiliary_tree(inst, inst.weights)
+    assert exact.cost == mst_weight(inst, range(inst.n))
+    assert abs(connector_sum(exact, range(inst.n)) - exact.cost) <= 1e-9
     for b in offsets:
-        whole = auxiliary_tree(inst, round_weights(inst.weights, b, 2.0))
-        assert offset_dendrogram(inst, inst.weights, b).to_dict() == whole.to_dict()
+        rounded = inst.with_weights(round_weights(inst.weights, b, 2.0))
+        tree = auxiliary_tree(inst, inst.weights, b)
+        assert tree.to_dict() == auxiliary_tree(rounded, rounded.weights).to_dict()
+        assert tree.cost == mst_weight(rounded, range(inst.n))
+        assert abs(connector_sum(tree, range(inst.n)) - tree.cost) <= 1e-9
 
 
 def _reference_dendrogram(inst, weights) -> dict:
@@ -238,8 +244,8 @@ def test_offset_dendrogram_ignores_a_heavy_non_tree_edge():
     heavy = mst_instance(2, [(ROOT, 0, 1.0), (ROOT, 1, 3.0), (0, 1, 1.7e308)])
     light = heavy.with_weights((1.0, 3.0, 5.0))
     for b in (0.0, 0.5, 1.0):
-        want = offset_dendrogram(light, light.weights, b).to_dict()
-        assert offset_dendrogram(heavy, heavy.weights, b).to_dict() == want
+        want = auxiliary_tree(light, light.weights, b).to_dict()
+        assert auxiliary_tree(heavy, heavy.weights, b).to_dict() == want
 
 
 def _top_down_shares(tree, n):
@@ -259,13 +265,13 @@ def _top_down_shares(tree, n):
 def test_mst_allocate_pays_the_offset_dendrogram_exactly(seed):
     inst, offsets = _offset_instance(seed)
     for b in offsets:
-        want = _top_down_shares(offset_dendrogram(inst, inst.weights, b), inst.n)
+        want = _top_down_shares(auxiliary_tree(inst, inst.weights, b), inst.n)
         assert mst_allocate(inst, inst.weights, b).values == want
 
 
 def test_offset_dendrogram_rejects_rounding_beyond_the_float_range():
     huge = mst_instance(1, [(ROOT, 0, 1.7e308)])
-    for build in (offset_dendrogram, mst_allocate):
+    for build in (auxiliary_tree, mst_allocate):
         with pytest.raises(ValueError, match="float range"):
             build(huge, huge.weights, 0.0)
 

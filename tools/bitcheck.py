@@ -21,8 +21,9 @@ twice, in one subprocess on this tree's ``src`` and in one on
 The corpus (TREE_GAMES tree games, MATCHING_GAMES matching games,
 WEIGHT_PAIRS weight pairs) uses only the stdlib's seeded ``random.Random``,
 so it is the same in both subprocesses and does not depend on the
-package's own generators. A rounding that comes back as an object with a
-``rounded`` field (older checkouts) is compared through that field.
+package's own generators. The dendrogram at an offset comes from
+``auxiliary_tree(inst, w, b)``, or from ``offset_dendrogram(inst, w, b)`` on
+a checkout that still has it.
 """
 
 from __future__ import annotations
@@ -45,7 +46,8 @@ WEIGHT_PAIRS = 6000
 OFFSETS = (0.0, 0.25, 0.81, 1.0)
 TABLE_MAX_AGENTS = 10
 PAIR_BASES = (1.01, 1.1, 1.5, 2.0)
-FAMILIES = ("float", "integer", "power-of-two", "scaled")
+FAMILIES = ("float", "integer", "power-of-two", "scaled", "near-max")
+REFUSED_MATCHING_AGENTS = 21  # one matching game in ten, past matching_core_allocate's limit
 
 
 def _family_weights(rng: random.Random, family: str, count: int) -> list[float]:
@@ -55,8 +57,10 @@ def _family_weights(rng: random.Random, family: str, count: int) -> list[float]:
         return [float(rng.randint(0, 4)) for _ in range(count)]
     if family == "power-of-two":
         return [2.0 ** rng.randint(-6, 6) for _ in range(count)]
-    scale = 10.0 ** rng.choice((300, -300))
-    return [rng.uniform(0.0, 10.0) * scale for _ in range(count)]
+    if family == "scaled":
+        scale = 10.0 ** rng.choice((300, -300))
+        return [rng.uniform(0.0, 10.0) * scale for _ in range(count)]
+    return [rng.uniform(0.3, 1.0) * sys.float_info.max for _ in range(count)]
 
 
 def tree_games(count: int):
@@ -78,11 +82,13 @@ def tree_games(count: int):
 
 def matching_games(count: int):
     """Seeded matching games as (n, [(u, v, w)]), n from 1 to 20 (every
-    other game has at most TABLE_MAX_AGENTS agents), with the weight family
-    cycling through FAMILIES."""
+    other game has at most TABLE_MAX_AGENTS agents, and one in ten has
+    REFUSED_MATCHING_AGENTS), with the weight family cycling through FAMILIES."""
     for index in range(count):
         rng = random.Random(f"bitcheck-matching-{index}")
         n = rng.randint(1, TABLE_MAX_AGENTS) if index % 2 else rng.randint(1, 20)
+        if index % 10 == 0:
+            n = REFUSED_MATCHING_AGENTS
         prob = rng.uniform(0.05, 0.6)
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < prob]
         weights = _family_weights(rng, FAMILIES[index // 2 % len(FAMILIES)], len(pairs))
@@ -121,7 +127,8 @@ def _run(src: str, out_path: str) -> None:
     import coregauge
     from coregauge.games import ROOT, Edge, GameInstance, GameKind
     from coregauge.matching import greedy_allocate, integrate_matching, matching_core_allocate
-    from coregauge.mst import auxiliary_tree, integrate_mst, mst_allocate, mst_core_allocate, offset_dendrogram
+    from coregauge import mst
+    from coregauge.mst import auxiliary_tree, integrate_mst, mst_allocate, mst_core_allocate
     from coregauge.oracles import coalition_values, grand_matching_value, mst_weight
     from coregauge.rounding import breakpoints, differing_offset_measure, round_weights
 
@@ -136,8 +143,7 @@ def _run(src: str, out_path: str) -> None:
     def floats(values):
         return None, list(values)
 
-    def rounded(result):
-        return None, list(getattr(result, "rounded", result))
+    offset_tree = getattr(mst, "offset_dendrogram", auxiliary_tree)
 
     def greedy(trace):
         return list(trace.matching), trace.raw
@@ -160,8 +166,8 @@ def _run(src: str, out_path: str) -> None:
             w = inst.weights
             emit("auxiliary_tree", index, lambda: auxiliary_tree(inst, w), dendrogram)
             for b in OFFSETS:
-                emit(f"offset_dendrogram b={b}", index, lambda: offset_dendrogram(inst, w, b), dendrogram)
-            emit("mst_allocate b=0.5", index, lambda: mst_allocate(inst, w, 0.5).values, floats)
+                emit(f"auxiliary_tree b={b}", index, lambda: offset_tree(inst, w, b), dendrogram)
+                emit(f"mst_allocate b={b}", index, lambda: mst_allocate(inst, w, b).values, floats)
             emit("integrate_mst", index, lambda: integrate_mst(inst, w).values, floats)
             emit("mst_core_allocate", index, lambda: mst_core_allocate(inst, w).values, floats)
             rng = random.Random(f"bitcheck-subsets-{index}")
@@ -176,7 +182,7 @@ def _run(src: str, out_path: str) -> None:
             for base in PAIR_BASES:
                 emit(f"breakpoints base={base}", index, lambda: breakpoints(w, base).points, floats)
                 for b in OFFSETS:
-                    emit(f"round_weights base={base} b={b}", index, lambda: round_weights(w, b, base), rounded)
+                    emit(f"round_weights base={base} b={b}", index, lambda: round_weights(w, b, base), floats)
                     emit(f"greedy_allocate base={base} b={b}", index, lambda: greedy_allocate(inst, w, b, base), greedy)
                 emit(f"integrate_matching base={base}", index, lambda: integrate_matching(inst, w, base).values, floats)
             for eps in (0.05, 0.25):
