@@ -118,8 +118,8 @@ def core_check(
     if x.n != inst.n:
         raise ValueError(f"allocation indexes {x.n} agents but the instance has {inst.n}")
     welfare = inst.kind is GameKind.MATCHING
-    if welfare and alpha > 1:
-        raise ValueError(f"welfare games need alpha <= 1, got {alpha}")
+    if welfare and not 0 <= alpha <= 1:
+        raise ValueError(f"welfare games need 0 <= alpha <= 1, got {alpha}")
     if not welfare and alpha < 1:
         raise ValueError(f"cost games need alpha >= 1, got {alpha}")
     if table is None:
@@ -210,13 +210,14 @@ class LipschitzReport:
     passed: bool
 
     def to_dict(self) -> dict:
+        """The report as JSON data: a ratio that is not finite is None, JSON null."""
         return {
             "allocator": self.allocator,
             "probes": [
-                {"edge_id": r.edge_id, "w_e": r.weight, "delta": r.delta, "ratio": r.ratio}
+                {"edge_id": r.edge_id, "w_e": r.weight, "delta": r.delta, "ratio": _none_if_not_finite(r.ratio)}
                 for r in self.rows
             ],
-            "max_ratio": self.max_ratio,
+            "max_ratio": _none_if_not_finite(self.max_ratio),
             "claimed_bound": self.claimed_bound,
             "pass": self.passed,
         }

@@ -11,7 +11,8 @@ of the weights so that exact integer runs reuse the same code.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from functools import cache, partial
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .games import ROOT, Edge, GameInstance, GameKind, perturb
 
@@ -46,30 +47,17 @@ def _refuse_past_limit(n: int) -> None:
 
 
 def coalition_values(inst: GameInstance, weights: Sequence) -> list:
-    """Value of every agent subset, indexed by bitmask, in the numeric
-    type of ``weights`` (floats, or ints for exact runs).
-
-    Matching games run one subset DP: the lowest agent of a mask is
-    either unmatched or matched to a neighbour inside the mask. Tree
-    games run Kruskal once per mask over one presorted edge order.
-    Refuses more than CHAR_TABLE_MAX_AGENTS agents.
-    """
+    """Value of every agent subset, indexed by bitmask, in the numeric type
+    of ``weights`` (floats, or ints for exact runs): the table driver, with
+    matching masks filled in increasing order by ``_matching_best`` and tree
+    masks by one Kruskal each. Refuses more than CHAR_TABLE_MAX_AGENTS agents."""
     _refuse_past_limit(inst.n)
     size = 1 << inst.n
     values: list = [0] * size
     if inst.kind is GameKind.MATCHING:
-        adj = _adjacency(inst.edges, weights, range(inst.n))
+        adj = _adjacency(inst.edges, weights, size - 1)
         for mask in range(1, size):
-            v = (mask & -mask).bit_length() - 1
-            rest = mask ^ (1 << v)
-            best = values[rest]
-            for u, w in adj[v]:
-                ubit = 1 << u
-                if rest & ubit:
-                    cand = w + values[rest ^ ubit]
-                    if cand > best:
-                        best = cand
-            values[mask] = best
+            values[mask] = _matching_best(mask, adj, values)
         return values
     order = list(_kruskal_order(inst, weights))
     for smask in range(1, size):
@@ -77,59 +65,73 @@ def coalition_values(inst: GameInstance, weights: Sequence) -> list:
     return values
 
 
-def _adjacency(edges: Iterable[Edge], weights: Sequence, members: Sequence[int]) -> list:
-    """Neighbour lists of G[members] renumbered 0..len(members)-1, in
-    edge order, each entry (neighbour, weight)."""
-    local = {v: i for i, v in enumerate(members)}
-    adj: list[list[tuple[int, object]]] = [[] for _ in local]
+def _adjacency(edges: Iterable[Edge], weights: Sequence, mask: int) -> list:
+    """Neighbour lists (neighbour, weight) of G[mask] by agent id, in edge order."""
+    adj: list[list[tuple[int, object]]] = [[] for _ in range(mask.bit_length())]
     for e in edges:
-        if e.u in local and e.v in local:
-            a, b, w = local[e.u], local[e.v], weights[e.id]
-            adj[a].append((b, w))
-            adj[b].append((a, w))
+        if mask >> e.u & 1 and mask >> e.v & 1:
+            w = weights[e.id]
+            adj[e.u].append((e.v, w))
+            adj[e.v].append((e.u, w))
     return adj
 
 
-def _matching_value(mask: int, adj: list, memo: dict):
-    """Value of ``mask`` by the recurrence of ``coalition_values``, with the
-    same additions and comparisons in the same order, evaluated only at
-    the masks the grand coalition reaches."""
-    got = memo.get(mask)
-    if got is not None:
-        return got
+def _matching_best(mask: int, adj: list, values) -> object:
+    """The matching recurrence, one body for both drivers: the lowest agent
+    of ``mask`` is unmatched or matched to a neighbour inside it; ``values``
+    holds the smaller masks."""
     v = (mask & -mask).bit_length() - 1
     rest = mask ^ (1 << v)
-    best = _matching_value(rest, adj, memo)
+    best = values[rest]
     for u, w in adj[v]:
         ubit = 1 << u
         if rest & ubit:
-            cand = w + _matching_value(rest ^ ubit, adj, memo)
+            cand = w + values[rest ^ ubit]
             if cand > best:
                 best = cand
-    memo[mask] = best
     return best
 
 
+class _MatchingValues(dict):
+    """The single-value driver: matching values by bitmask, each computed by
+    ``_matching_best`` on its first read and kept (at most 2^|mask| of them)."""
+
+    __slots__ = ("adj",)
+
+    def __init__(self, adj: list):
+        self[0] = 0
+        self.adj = adj
+
+    def __missing__(self, mask: int):
+        best = self[mask] = _matching_best(mask, self.adj, self)
+        return best
+
+
+def lazy_coalition_value(inst: GameInstance, weights: Sequence) -> Callable[[int], object]:
+    """The value of a coalition by bitmask, computed on its first read and
+    kept: ``coalition_values(inst, weights)[mask]`` bit for bit, at most 2^n
+    values held. Matching games keep the agent limit of ``coalition_values``;
+    tree games, one Kruskal per mask over one presorted edge order, have none."""
+    if inst.kind is GameKind.MATCHING:
+        _refuse_past_limit(inst.n)
+        return _MatchingValues(_adjacency(inst.edges, weights, (1 << inst.n) - 1)).__getitem__
+    return cache(partial(_mst_value, list(_kruskal_order(inst, weights)), n=inst.n))
+
+
 def grand_matching_value(inst: GameInstance, weights: Sequence, members: Sequence[int] | None = None):
-    """``coalition_values(...)[-1]`` bit for bit, of G[members] (default:
-    every agent), without filling the other masks; the same agent limit."""
-    agents = range(inst.n) if members is None else members
-    _refuse_past_limit(len(agents))
-    adj = _adjacency(inst.edges, weights, agents)
-    return _matching_value((1 << len(adj)) - 1, adj, {0: 0})
+    """``coalition_values(...)[mask_of(members)]`` bit for bit (default: every
+    agent) from the single-value driver; the agent limit applies to the members."""
+    _refuse_past_limit(inst.n if members is None else len(members))
+    mask = (1 << inst.n) - 1 if members is None else mask_of(members)
+    return _MatchingValues(_adjacency(inst.edges, weights, mask))[mask]
 
 
 def max_weight_matching(inst: GameInstance, S: Iterable[int]) -> float:
-    """Exact maximum matching weight of the subgraph induced by S.
-
-    Evaluates the subset DP of ``coalition_values`` on G[S] renumbered
-    0..|S|-1, so the work is at most 2^|S|, not 2^n, and the agent limit
-    of ``coalition_values`` applies to |S|.
-    """
+    """Exact maximum matching weight of the subgraph induced by S, from the
+    single-value driver: the work is at most 2^|S|, not 2^n, and the agent
+    limit of ``coalition_values`` applies to |S|."""
     if inst.kind is not GameKind.MATCHING:
         raise ValueError("max_weight_matching requires a matching game")
-    if isinstance(S, range) and S == range(inst.n):  # the grand coalition: no set of n agents
-        return float(grand_matching_value(inst, inst.weights))
     members = sorted(set(S))
     if any(not 0 <= v < inst.n for v in members):
         raise ValueError(f"subset {members} contains non-agent ids")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 
 from .games import Allocation, GameInstance
-from .oracles import char_table, char_value, agents_of
+from .oracles import char_table, lazy_coalition_value
 
 SHAPLEY_EXACT_MAX_AGENTS = 14
 
@@ -57,19 +57,14 @@ def shapley_sample(inst: GameInstance, permutations: int, seed: int) -> Allocati
     # that bound needs, so that subnormal weights keep their precision
     e = math.frexp(max(inst.weights, default=0.0))[1]
     shift = max(0, e + inst.m.bit_length() + permutations.bit_length() + 1 - 1024)
-    # every ordering ends at the grand coalition: its value first, so that
-    # a game past the oracle's agent limit is refused before any prefix runs
-    cache: dict[int, float] = {(1 << n) - 1: char_value(inst, range(n)), 0: 0.0}
+    value = lazy_coalition_value(inst, inst.weights)  # refuses a game past the oracle's agent limit
     for _ in range(permutations):
         perm = rng.permutation(n)
         mask = 0
         prev = 0.0
         for v in perm:
             mask |= 1 << int(v)
-            cur = cache.get(mask)
-            if cur is None:
-                cur = char_value(inst, agents_of(mask))
-                cache[mask] = cur
+            cur = value(mask)
             acc[v] += math.ldexp(cur - prev, -shift)
             prev = cur
     return Allocation.of(np.ldexp(acc / permutations, shift))

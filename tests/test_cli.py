@@ -14,8 +14,8 @@ from click.testing import CliRunner
 
 import coregauge
 from coregauge.cli import main
-from coregauge.games import dump_instance, load_instance
-from coregauge.instances import gen_path_uniform
+from coregauge.games import GameKind, dump_instance, load_instance
+from coregauge.instances import gen_path_uniform, gen_random
 
 from conftest import matching_instance, mst_instance
 from coregauge.games import ROOT
@@ -355,6 +355,36 @@ def test_lipschitz_command_fail_exits_one(runner, tmp_path):
     result = runner.invoke(main, ["lipschitz", str(path), "--allocator", "mst-core",
                                   "--bound", "0.001"])
     assert result.exit_code == 1
+
+
+def test_lipschitz_writes_infinite_ratios_as_null_and_exits_one(runner, tmp_path):
+    path = tmp_path / "wide.json"
+    dump_instance(matching_instance(3, [(0, 1, 1.8198487409149054e-286), (1, 2, 8.841660617320854e+307)]), str(path))
+    result = runner.invoke(main, ["lipschitz", str(path), "--allocator", "matching-core",
+                                  "--epsilon", "0.25", "--bound", "49"])
+    assert result.exit_code == 1
+    payload = payload_of(result)
+    assert payload["pass"] is False and payload["max_ratio"] is None
+    ratios = [probe["ratio"] for probe in payload["probes"]]
+    assert ratios[:4] == [None] * 4 and all(math.isfinite(r) for r in ratios[4:])
+
+
+def test_core_check_refuses_a_negative_welfare_alpha(runner, tmp_path):
+    path = write_single_edge(tmp_path)
+    alloc_path = tmp_path / "alloc.json"
+    alloc_path.write_text(json.dumps({"0": 0.5, "1": 0.5}))
+    result = runner.invoke(main, ["core-check", str(path), str(alloc_path), "--alpha", "-1"])
+    expect_input_error(result, "welfare games need 0 <= alpha <= 1, got -1.0")
+    assert len(result.stderr.splitlines()) == 1
+
+
+def test_shapley_sample_on_twenty_matching_agents_is_quick(runner, tmp_path):
+    path = tmp_path / "twenty.json"
+    dump_instance(gen_random(GameKind.MATCHING, 20, 0.5, 10.0, 7), str(path))
+    start = time.perf_counter()
+    result = invoke(runner, ["shapley", str(path), "--method", "sample", "--samples", "5000"])
+    assert time.perf_counter() - start < 20.0
+    assert result.exit_code == 0
 
 
 @pytest.mark.parametrize(

@@ -8,14 +8,23 @@ import math
 import random
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coregauge.games import ROOT, Edge, GameInstance, GameKind
+from coregauge.games import ROOT, Allocation, Edge, GameInstance, GameKind
 from coregauge.matching import greedy_allocate, integrate_matching
-from coregauge.oracles import coalition_values, grand_matching_value, max_weight_matching
+from coregauge.oracles import (
+    agents_of,
+    char_value,
+    coalition_values,
+    grand_matching_value,
+    lazy_coalition_value,
+    max_weight_matching,
+)
 from coregauge.rounding import breakpoints, offset_average, round_weights, rounding_exponent
+from coregauge.shapley import shapley_sample
 
 WEIGHT_POOLS = {
     "distinct": lambda rng: rng.uniform(0.0, 10.0),
@@ -80,6 +89,58 @@ def test_grand_matching_value_of_a_subset_is_its_renumbered_table_entry():
             tuple(inst.weights[e.id] for e in kept),
         )
         assert grand_matching_value(inst, inst.weights, members) == coalition_values(sub, sub.weights)[-1]
+
+
+@pytest.mark.parametrize("kind", [GameKind.MATCHING, GameKind.MIN_SPANNING_TREE])
+@pytest.mark.parametrize("pool", sorted(WEIGHT_POOLS))
+@pytest.mark.parametrize("n", range(9))
+def test_every_mask_of_the_single_value_driver_is_its_table_entry(n, pool, kind):
+    inst = random_game(kind, n, n, pool)
+    ints = [int(w * 8) if w < 1e18 else 7 for w in inst.weights]
+    for weights in (inst.weights, ints):
+        table = coalition_values(inst, weights)
+        value = lazy_coalition_value(inst, weights)
+        for mask in random.Random(n).sample(range(1 << n), 1 << n):  # masks in any order
+            assert type(value(mask)) is type(table[mask]) and value(mask) == table[mask]
+            if kind is GameKind.MATCHING:
+                alone = grand_matching_value(inst, weights, agents_of(mask))
+                assert type(alone) is type(table[mask]) and alone == table[mask]
+
+
+def reference_shapley_sample(inst, permutations, seed):
+    """Seeded orderings, each prefix valued by ``char_value`` once and kept
+    in a dict; marginals summed scaled by the sampler's power of two."""
+    rng = np.random.default_rng(seed)
+    acc = np.zeros(inst.n)
+    e = math.frexp(max(inst.weights, default=0.0))[1]
+    shift = max(0, e + inst.m.bit_length() + permutations.bit_length() + 1 - 1024)
+    cache = {0: 0.0}
+    for _ in range(permutations):
+        mask, prev = 0, 0.0
+        for v in rng.permutation(inst.n):
+            mask |= 1 << int(v)
+            if mask not in cache:
+                cache[mask] = char_value(inst, agents_of(mask))
+            acc[v] += math.ldexp(cache[mask] - prev, -shift)
+            prev = cache[mask]
+    return Allocation.of(np.ldexp(acc / permutations, shift))
+
+
+def sample_outcome(call):
+    try:
+        return [x.hex() for x in call().values]
+    except ValueError as exc:  # a share past the float range
+        return str(exc)
+
+
+@pytest.mark.parametrize("kind", [GameKind.MATCHING, GameKind.MIN_SPANNING_TREE])
+@pytest.mark.parametrize("pool", sorted(WEIGHT_POOLS))
+def test_shapley_sample_is_the_per_prefix_reference(pool, kind):
+    for n in (1, 5, 8):
+        inst = random_game(kind, n, n, pool)
+        with np.errstate(invalid="ignore", over="ignore"):  # extremes may sum past the float range
+            got = sample_outcome(lambda: shapley_sample(inst, 300, n))
+            assert got == sample_outcome(lambda: reference_shapley_sample(inst, 300, n))
 
 
 def reference_kruskal(inst, weights, smask):

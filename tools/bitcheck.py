@@ -21,9 +21,7 @@ twice, in one subprocess on this tree's ``src`` and in one on
 The corpus (TREE_GAMES tree games, MATCHING_GAMES matching games,
 WEIGHT_PAIRS weight pairs) uses only the stdlib's seeded ``random.Random``,
 so it is the same in both subprocesses and does not depend on the
-package's own generators. The dendrogram at an offset comes from
-``auxiliary_tree(inst, w, b)``, or from ``offset_dendrogram(inst, w, b)`` on
-a checkout that still has it.
+package's own generators.
 """
 
 from __future__ import annotations
@@ -45,6 +43,7 @@ MATCHING_GAMES = 1000
 WEIGHT_PAIRS = 6000
 OFFSETS = (0.0, 0.25, 0.81, 1.0)
 TABLE_MAX_AGENTS = 10
+SAMPLED_ORDERINGS = 200
 PAIR_BASES = (1.01, 1.1, 1.5, 2.0)
 FAMILIES = ("float", "integer", "power-of-two", "scaled", "near-max")
 REFUSED_MATCHING_AGENTS = 21  # one matching game in ten, past matching_core_allocate's limit
@@ -120,6 +119,12 @@ def weight_pairs(count: int):
         yield w, min(other, sys.float_info.max), base
 
 
+def subsets(index: int, n: int) -> list:
+    """The grand coalition of an n-agent game and two seeded subsets of it."""
+    rng = random.Random(f"bitcheck-subsets-{index}")
+    return [range(n)] + [[v for v in range(n) if rng.random() < 0.5] for _ in range(2)]
+
+
 def _run(src: str, out_path: str) -> None:
     """Run the corpus on the package under ``src``; one JSON line per case:
     [function, case id, ["ok", structure, float hexes] or ["err", message]]."""
@@ -127,10 +132,10 @@ def _run(src: str, out_path: str) -> None:
     import coregauge
     from coregauge.games import ROOT, Edge, GameInstance, GameKind
     from coregauge.matching import greedy_allocate, integrate_matching, matching_core_allocate
-    from coregauge import mst
     from coregauge.mst import auxiliary_tree, integrate_mst, mst_allocate, mst_core_allocate
-    from coregauge.oracles import coalition_values, grand_matching_value, mst_weight
+    from coregauge.oracles import coalition_values, grand_matching_value, max_weight_matching, mst_weight
     from coregauge.rounding import breakpoints, differing_offset_measure, round_weights
+    from coregauge.shapley import shapley_sample
 
     if Path(coregauge.__file__).resolve().parent.parent != Path(src).resolve():
         raise SystemExit(f"imported coregauge from {coregauge.__file__}, not from {src}")
@@ -142,8 +147,6 @@ def _run(src: str, out_path: str) -> None:
 
     def floats(values):
         return None, list(values)
-
-    offset_tree = getattr(mst, "offset_dendrogram", auxiliary_tree)
 
     def greedy(trace):
         return list(trace.matching), trace.raw
@@ -166,16 +169,15 @@ def _run(src: str, out_path: str) -> None:
             w = inst.weights
             emit("auxiliary_tree", index, lambda: auxiliary_tree(inst, w), dendrogram)
             for b in OFFSETS:
-                emit(f"auxiliary_tree b={b}", index, lambda: offset_tree(inst, w, b), dendrogram)
+                emit(f"auxiliary_tree b={b}", index, lambda: auxiliary_tree(inst, w, b), dendrogram)
                 emit(f"mst_allocate b={b}", index, lambda: mst_allocate(inst, w, b).values, floats)
             emit("integrate_mst", index, lambda: integrate_mst(inst, w).values, floats)
             emit("mst_core_allocate", index, lambda: mst_core_allocate(inst, w).values, floats)
-            rng = random.Random(f"bitcheck-subsets-{index}")
-            subsets = [range(n)] + [[v for v in range(n) if rng.random() < 0.5] for _ in range(2)]
-            for k, subset in enumerate(subsets):
+            for k, subset in enumerate(subsets(index, n)):
                 emit("mst_weight", f"{index}.{k}", lambda: [mst_weight(inst, subset)], floats)
             if n <= TABLE_MAX_AGENTS:
                 emit("coalition_values", index, lambda: coalition_values(inst, w), floats)
+                emit("shapley_sample", index, lambda: shapley_sample(inst, SAMPLED_ORDERINGS, index).values, floats)
         for index, (n, edges) in enumerate(matching_games(MATCHING_GAMES)):
             inst = game(GameKind.MATCHING, n, edges)
             w = inst.weights
@@ -189,8 +191,12 @@ def _run(src: str, out_path: str) -> None:
                 emit(f"matching_core_allocate eps={eps}", index,
                      lambda: matching_core_allocate(inst, w, eps).values, floats)
             emit("grand_matching_value", index, lambda: [grand_matching_value(inst, w)], floats)
+            for k, subset in enumerate(subsets(index, n)):
+                emit("max_weight_matching", f"{index}.{k}", lambda: [max_weight_matching(inst, subset)], floats)
             if n <= TABLE_MAX_AGENTS:
                 emit("coalition_values matching", index, lambda: coalition_values(inst, w), floats)
+                emit("shapley_sample matching", index,
+                     lambda: shapley_sample(inst, SAMPLED_ORDERINGS, index).values, floats)
         for index, (before, after, base) in enumerate(weight_pairs(WEIGHT_PAIRS)):
             emit("differing_offset_measure", index,
                  lambda: [differing_offset_measure(before, after, base)], floats)
