@@ -12,7 +12,7 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
-from .games import Allocation, GameInstance, GameKind, l1_distance, perturb
+from .games import Allocation, GameInstance, GameKind, l1_distance, perturb, refuse_past
 from .matching import integrate_matching, matching_core_allocate
 from .mst import integrate_mst, mst_core_allocate
 from .oracles import CharTable, agents_of, char_table, coalition_values
@@ -113,8 +113,7 @@ def core_check(
     """
     if not math.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha}")
-    if inst.n > CORE_CHECK_MAX_AGENTS:
-        raise ValueError(f"core_check is limited to {CORE_CHECK_MAX_AGENTS} agents, got {inst.n}")
+    refuse_past(inst.n, CORE_CHECK_MAX_AGENTS, "core_check")
     if x.n != inst.n:
         raise ValueError(f"allocation indexes {x.n} agents but the instance has {inst.n}")
     welfare = inst.kind is GameKind.MATCHING
@@ -168,8 +167,7 @@ def exact_core_solve(inst: GameInstance) -> Allocation | None:
     ``det``, so the slacks are ints over ``det * scale``.
     """
     n = inst.n
-    if n > EXACT_SOLVE_MAX_AGENTS:
-        raise ValueError(f"exact_core_solve is limited to {EXACT_SOLVE_MAX_AGENTS} agents, got {n}")
+    refuse_past(n, EXACT_SOLVE_MAX_AGENTS, "exact_core_solve")
     ratios = [w.as_integer_ratio() for w in inst.weights]
     scale = max((d for _, d in ratios), default=1)  # a power of two: every denominator divides it
     nu = coalition_values(inst, [p * (scale // d) for p, d in ratios])
@@ -286,43 +284,34 @@ def lipschitz_scan(
     )
 
 
+def _exact_core(inst: GameInstance, _) -> Sequence[float]:
+    point = exact_core_solve(inst)
+    if point is None:
+        raise ValueError("the core is empty")
+    return point.values
+
+
+# name -> (what it needs: None, "epsilon", or "a rounding base" for base; its payoff vector given that value)
+_ALLOCATORS: dict[str, tuple[str | None, Callable[[GameInstance, float | None], Sequence[float]]]] = {
+    "matching-core": ("epsilon", lambda inst, eps: matching_core_allocate(inst, inst.weights, eps).values),
+    "mst-core": (None, lambda inst, _: mst_core_allocate(inst, inst.weights).values),
+    "matching-raw": ("a rounding base", lambda inst, base: integrate_matching(inst, inst.weights, base).values),
+    "mst-raw": (None, lambda inst, _: integrate_mst(inst, inst.weights).values),
+    "shapley": (None, lambda inst, _: shapley_exact(inst).values),
+    "exact-core": (None, _exact_core),
+}
+
+ALLOCATOR_NAMES = tuple(_ALLOCATORS)
+
+
 def named_allocator(
     name: str, epsilon: float | None = None, base: float | None = None
 ) -> Vectorizer:
     """Resolve an allocator name to a callable returning a payoff vector."""
-    if name == "matching-core":
-        if epsilon is None:
-            raise ValueError("matching-core needs epsilon")
-        eps = epsilon
-        return lambda inst: matching_core_allocate(inst, inst.weights, eps).values
-    if name == "mst-core":
-        return lambda inst: mst_core_allocate(inst, inst.weights).values
-    if name == "matching-raw":
-        if base is None:
-            raise ValueError("matching-raw needs a rounding base")
-        alpha = base
-        return lambda inst: integrate_matching(inst, inst.weights, alpha).values
-    if name == "mst-raw":
-        return lambda inst: integrate_mst(inst, inst.weights).values
-    if name == "shapley":
-        return lambda inst: shapley_exact(inst).values
-    if name == "exact-core":
-
-        def solve(inst: GameInstance) -> Sequence[float]:
-            point = exact_core_solve(inst)
-            if point is None:
-                raise ValueError("the core is empty")
-            return point.values
-
-        return solve
-    raise ValueError(f"unknown allocator {name!r}")
-
-
-ALLOCATOR_NAMES = (
-    "matching-core",
-    "mst-core",
-    "matching-raw",
-    "mst-raw",
-    "shapley",
-    "exact-core",
-)
+    if name not in _ALLOCATORS:
+        raise ValueError(f"unknown allocator {name!r}")
+    needs, payoff = _ALLOCATORS[name]
+    given = epsilon if needs == "epsilon" else base
+    if needs is not None and given is None:
+        raise ValueError(f"{name} needs {needs}")
+    return lambda inst: payoff(inst, given)

@@ -34,6 +34,7 @@ from .games import (
     _json,
     dump_instance,
     load_instance,
+    refuse_past,
     validate_instance,
 )
 from .instances import gen_path_pair_bumped, gen_path_pair_zero_ends, gen_path_uniform, gen_random
@@ -175,8 +176,7 @@ def core_check_cmd(instance_file: str, allocation_file: str, alpha: float, csv_p
     """Check an allocation against every relaxed coalition constraint."""
     inst = _load_checked(instance_file)
     # refused before the allocation file is read, which lists every agent missing from it
-    if inst.n > CORE_CHECK_MAX_AGENTS:
-        raise ValueError(f"core_check is limited to {CORE_CHECK_MAX_AGENTS} agents, got {inst.n}")
+    refuse_past(inst.n, CORE_CHECK_MAX_AGENTS, "core_check")
     x = _load_allocation(allocation_file, inst.n)
     table = char_table(inst)
     report = core_check(inst, x, alpha, table=table)

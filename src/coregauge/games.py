@@ -67,6 +67,19 @@ class GameInstance:
         return GameInstance(self.kind, self.n, self.edges, tuple([float(w) for w in weights]))
 
 
+def require_kind(inst: GameInstance, kind: GameKind, who: str = "this allocator") -> None:
+    """The one kind check of the package's kind-specific entry points."""
+    if inst.kind is not kind:
+        noun = "matching" if kind is GameKind.MATCHING else "spanning-tree"
+        raise ValueError(f"{who} requires a {noun} game")
+
+
+def refuse_past(n: int, limit: int, what: str) -> None:
+    """The one agent-limit refusal of the exponential engines."""
+    if n > limit:
+        raise ValueError(f"{what} is limited to {limit} agents, got {n}")
+
+
 @dataclass(frozen=True)
 class Allocation:
     """Per-agent payoff or cost share, indexed by agent id 0..n-1."""

@@ -15,14 +15,9 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .games import Allocation, GameInstance, GameKind
+from .games import Allocation, GameInstance, GameKind, require_kind
 from .oracles import grand_matching_value
 from .rounding import breakpoints, offset_average, round_weights, within_rounding_range
-
-
-def _require_matching(inst: GameInstance) -> None:
-    if inst.kind is not GameKind.MATCHING:
-        raise ValueError("this allocator requires a matching game")
 
 
 @dataclass(frozen=True)
@@ -55,7 +50,7 @@ def greedy_allocate(
     inst: GameInstance, weights: Sequence[float], b: float, base: float
 ) -> GreedyTrace:
     """The greedy run on the weights rounded at offset ``b``."""
-    _require_matching(inst)
+    require_kind(inst, GameKind.MATCHING)
     return _greedy(inst, round_weights(weights, b, base))
 
 
@@ -68,7 +63,7 @@ def integrate_matching(
     constant and every payout scales as base**b, so one greedy run at the
     interval midpoint integrates in closed form.
     """
-    _require_matching(inst)
+    require_kind(inst, GameKind.MATCHING)
     return offset_average(breakpoints(weights, base), lambda rounded: _greedy(inst, rounded).raw)
 
 
@@ -95,7 +90,7 @@ def matching_core_allocate(
     Uses rounding base 1 + 2*epsilon; the payout sums to the maximum
     matching weight of the whole graph.
     """
-    _require_matching(inst)
+    require_kind(inst, GameKind.MATCHING)
     if not 0.0 < epsilon <= 0.5:
         raise ValueError(f"epsilon must lie in (0, 1/2], got {epsilon}")
     grand = float(grand_matching_value(inst, weights))  # refuses large n before the integral runs

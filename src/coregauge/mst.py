@@ -21,17 +21,12 @@ from itertools import groupby
 from operator import itemgetter
 from typing import NamedTuple, Sequence
 
-from .games import ROOT, Allocation, GameInstance, GameKind
+from .games import ROOT, Allocation, GameInstance, GameKind, require_kind
 from .matching import normalize_welfare
 from .oracles import _kruskal_order, _mst_value, mask_of
 from .rounding import breakpoints, offset_average, round_weights, within_rounding_range
 
 MST_BASE = 2.0
-
-
-def _require_mst(inst: GameInstance) -> None:
-    if inst.kind is not GameKind.MIN_SPANNING_TREE:
-        raise ValueError("this allocator requires a spanning-tree game")
 
 
 class TreeNode(NamedTuple):
@@ -80,7 +75,7 @@ def auxiliary_tree(inst: GameInstance, weights: Sequence[float], b: float | None
     of one batch are numbered in the order of their smallest child, so
     node ids depend only on the components, not on the edges that formed
     them."""
-    _require_mst(inst)
+    require_kind(inst, GameKind.MIN_SPANNING_TREE)
     n = inst.n
     merges: list[tuple] = []
     try:
@@ -125,7 +120,7 @@ def _shares(tree: AuxiliaryTree, rounded: Sequence[float], n: int) -> list[float
     it (a merged child carries its parent's); agent v's share is read at
     its leaf v."""
     nodes = tree.nodes
-    carried = [0.0] * len(nodes)
+    carried = [rounded[0]] * len(nodes)  # node 0 is a leaf: height zero, in the heights' own type
     for node in reversed(nodes):  # every child id is below its parent's
         height = rounded[node.id]
         for c in node.children:

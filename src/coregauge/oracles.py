@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cache, partial
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .games import ROOT, Edge, GameInstance, GameKind, perturb
+from .games import ROOT, Edge, GameInstance, GameKind, perturb, refuse_past, require_kind
 
 CHAR_TABLE_MAX_AGENTS = 20
 
@@ -41,17 +41,12 @@ def agents_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _refuse_past_limit(n: int) -> None:
-    if n > CHAR_TABLE_MAX_AGENTS:
-        raise ValueError(f"coalition enumeration is limited to {CHAR_TABLE_MAX_AGENTS} agents, got {n}")
-
-
 def coalition_values(inst: GameInstance, weights: Sequence) -> list:
     """Value of every agent subset, indexed by bitmask, in the numeric type
     of ``weights`` (floats, or ints for exact runs): the table driver, with
     matching masks filled in increasing order by ``_matching_best`` and tree
     masks by one Kruskal each. Refuses more than CHAR_TABLE_MAX_AGENTS agents."""
-    _refuse_past_limit(inst.n)
+    refuse_past(inst.n, CHAR_TABLE_MAX_AGENTS, "coalition enumeration")
     size = 1 << inst.n
     values: list = [0] * size
     if inst.kind is GameKind.MATCHING:
@@ -113,16 +108,16 @@ def lazy_coalition_value(inst: GameInstance, weights: Sequence) -> Callable[[int
     values held. Matching games keep the agent limit of ``coalition_values``;
     tree games, one Kruskal per mask over one presorted edge order, have none."""
     if inst.kind is GameKind.MATCHING:
-        _refuse_past_limit(inst.n)
+        refuse_past(inst.n, CHAR_TABLE_MAX_AGENTS, "coalition enumeration")
         return _MatchingValues(_adjacency(inst.edges, weights, (1 << inst.n) - 1)).__getitem__
     return cache(partial(_mst_value, list(_kruskal_order(inst, weights)), n=inst.n))
 
 
-def grand_matching_value(inst: GameInstance, weights: Sequence, members: Sequence[int] | None = None):
-    """``coalition_values(...)[mask_of(members)]`` bit for bit (default: every
-    agent) from the single-value driver; the agent limit applies to the members."""
-    _refuse_past_limit(inst.n if members is None else len(members))
-    mask = (1 << inst.n) - 1 if members is None else mask_of(members)
+def grand_matching_value(inst: GameInstance, weights: Sequence):
+    """``coalition_values(inst, weights)[-1]`` bit for bit, from the
+    single-value driver, within the agent limit of ``coalition_values``."""
+    refuse_past(inst.n, CHAR_TABLE_MAX_AGENTS, "coalition enumeration")
+    mask = (1 << inst.n) - 1
     return _MatchingValues(_adjacency(inst.edges, weights, mask))[mask]
 
 
@@ -130,12 +125,13 @@ def max_weight_matching(inst: GameInstance, S: Iterable[int]) -> float:
     """Exact maximum matching weight of the subgraph induced by S, from the
     single-value driver: the work is at most 2^|S|, not 2^n, and the agent
     limit of ``coalition_values`` applies to |S|."""
-    if inst.kind is not GameKind.MATCHING:
-        raise ValueError("max_weight_matching requires a matching game")
+    require_kind(inst, GameKind.MATCHING, "max_weight_matching")
     members = sorted(set(S))
     if any(not 0 <= v < inst.n for v in members):
         raise ValueError(f"subset {members} contains non-agent ids")
-    return float(grand_matching_value(inst, inst.weights, members))
+    refuse_past(len(members), CHAR_TABLE_MAX_AGENTS, "coalition enumeration")
+    mask = mask_of(members)
+    return float(_MatchingValues(_adjacency(inst.edges, inst.weights, mask))[mask])
 
 
 def _kruskal_order(inst: GameInstance, weights: Sequence) -> Iterator[tuple]:
@@ -182,8 +178,7 @@ def _mst_value(order: Iterable[tuple], smask: int, n: int, merges: list | None =
 
 def mst_weight(inst: GameInstance, S: Iterable[int]) -> float:
     """Exact minimum spanning tree weight of the subgraph induced by S + root."""
-    if inst.kind is not GameKind.MIN_SPANNING_TREE:
-        raise ValueError("mst_weight requires a spanning-tree game")
+    require_kind(inst, GameKind.MIN_SPANNING_TREE, "mst_weight")
     smask = mask_of(S)
     if smask >> inst.n:
         raise ValueError("subset contains non-agent ids")
@@ -223,8 +218,7 @@ def marginal_monotonicity_check(
     Compares the increase of the coalition value of S and of S + v when
     edge f (with both endpoints inside S) is made ``delta`` heavier.
     """
-    if inst.kind is not GameKind.MIN_SPANNING_TREE:
-        raise ValueError("marginal_monotonicity_check requires a spanning-tree game")
+    require_kind(inst, GameKind.MIN_SPANNING_TREE, "marginal_monotonicity_check")
     bumped = inst.with_weights(perturb(inst.weights, f, delta))  # rejects delta <= 0 and unknown f
     members = set(S)
     if v in members or not 0 <= v < inst.n:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from .games import Allocation, GameInstance
+from .games import Allocation, GameInstance, refuse_past
 from .oracles import char_table, lazy_coalition_value
 
 SHAPLEY_EXACT_MAX_AGENTS = 14
@@ -21,8 +21,7 @@ def shapley_exact(inst: GameInstance) -> Allocation:
     """Exact Shapley value via the subset sum
     sum_S |S|! (n-1-|S|)! / n! * (value(S + v) - value(S))."""
     n = inst.n
-    if n > SHAPLEY_EXACT_MAX_AGENTS:
-        raise ValueError(f"exact Shapley computation is limited to {SHAPLEY_EXACT_MAX_AGENTS} agents, got {n}")
+    refuse_past(n, SHAPLEY_EXACT_MAX_AGENTS, "exact Shapley computation")
     if n == 0:
         return Allocation(())
     table = char_table(inst).values

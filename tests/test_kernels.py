@@ -77,7 +77,7 @@ def test_grand_matching_value_is_the_last_table_entry(n, pool):
         assert max_weight_matching(inst, range(n)) == float(coalition_values(inst, inst.weights)[-1])
 
 
-def test_grand_matching_value_of_a_subset_is_its_renumbered_table_entry():
+def test_max_weight_matching_of_a_subset_is_its_renumbered_table_entry():
     inst = random_game(GameKind.MATCHING, 9, 4, "ties")
     for members in ([], [3], [0, 2, 5, 8], list(range(1, 9, 2)), list(range(9))):
         local = {v: i for i, v in enumerate(members)}
@@ -88,7 +88,7 @@ def test_grand_matching_value_of_a_subset_is_its_renumbered_table_entry():
             tuple(Edge(i, local[e.u], local[e.v]) for i, e in enumerate(kept)),
             tuple(inst.weights[e.id] for e in kept),
         )
-        assert grand_matching_value(inst, inst.weights, members) == coalition_values(sub, sub.weights)[-1]
+        assert max_weight_matching(inst, members) == coalition_values(sub, sub.weights)[-1]
 
 
 @pytest.mark.parametrize("kind", [GameKind.MATCHING, GameKind.MIN_SPANNING_TREE])
@@ -102,9 +102,8 @@ def test_every_mask_of_the_single_value_driver_is_its_table_entry(n, pool, kind)
         value = lazy_coalition_value(inst, weights)
         for mask in random.Random(n).sample(range(1 << n), 1 << n):  # masks in any order
             assert type(value(mask)) is type(table[mask]) and value(mask) == table[mask]
-            if kind is GameKind.MATCHING:
-                alone = grand_matching_value(inst, weights, agents_of(mask))
-                assert type(alone) is type(table[mask]) and alone == table[mask]
+            if kind is GameKind.MATCHING and weights is inst.weights:
+                assert max_weight_matching(inst, agents_of(mask)) == table[mask]
 
 
 def reference_shapley_sample(inst, permutations, seed):

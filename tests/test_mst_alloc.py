@@ -1,5 +1,6 @@
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from coregauge.games import ROOT, GameKind, l1_distance, perturb
 from coregauge.instances import gen_random
 from coregauge.matching import normalize_welfare
 from coregauge.mst import (
+    _heights,
+    _shares,
     auxiliary_tree,
     connector_sum,
     integrate_mst,
@@ -267,6 +270,19 @@ def test_mst_allocate_pays_the_offset_dendrogram_exactly(seed):
     for b in offsets:
         want = _top_down_shares(auxiliary_tree(inst, inst.weights, b), inst.n)
         assert mst_allocate(inst, inst.weights, b).values == want
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_fraction_heights_give_fraction_shares_close_to_the_float_run(seed):
+    n = 2 + seed % 11
+    inst = gen_random(GameKind.MIN_SPANNING_TREE, n, 0.4, 10.0, seed)
+    tree = auxiliary_tree(inst, inst.weights)
+    heights = _heights(tree)
+    for rounded in (heights, round_weights(heights, 0.3, 2.0), round_weights(heights, 0.9, 2.0)):
+        floats = _shares(tree, rounded, n)
+        exact = _shares(tree, [Fraction(h) for h in rounded], n)
+        assert all(type(x) is Fraction for x in exact)
+        assert sum(abs(Fraction(x) - y) for x, y in zip(floats, exact)) <= Fraction(1e-15) * sum(exact)
 
 
 def test_offset_dendrogram_rejects_rounding_beyond_the_float_range():

@@ -8,7 +8,11 @@ or an unpacked ``git archive``); its package is imported from
 ``PARENT_DIR/src``. A fixed seeded corpus of spanning-tree games, of
 matching games and of weight pairs runs through named public functions
 twice, in one subprocess on this tree's ``src`` and in one on
-``PARENT_DIR/src``. Per function the report gives:
+``PARENT_DIR/src``. Every name of ``analysis.ALLOCATOR_NAMES`` runs on
+every game too, through ``named_allocator`` (the two exponential ones,
+``shapley`` and ``exact-core``, on games of at most TABLE_MAX_AGENTS
+agents), so a name added to or dropped from the table shows as a corpus
+mismatch. Per function the report gives:
 
 - identical: both return the same output, every float equal as ``float.hex``
   (and a dendrogram the same nodes);
@@ -47,6 +51,8 @@ SAMPLED_ORDERINGS = 200
 PAIR_BASES = (1.01, 1.1, 1.5, 2.0)
 FAMILIES = ("float", "integer", "power-of-two", "scaled", "near-max")
 REFUSED_MATCHING_AGENTS = 21  # one matching game in ten, past matching_core_allocate's limit
+EXPONENTIAL_ALLOCATORS = ("shapley", "exact-core")
+NAMED_EPSILON, NAMED_BASE = 0.25, 1.5
 
 
 def _family_weights(rng: random.Random, family: str, count: int) -> list[float]:
@@ -130,6 +136,7 @@ def _run(src: str, out_path: str) -> None:
     [function, case id, ["ok", structure, float hexes] or ["err", message]]."""
     sys.path.insert(0, src)
     import coregauge
+    from coregauge.analysis import ALLOCATOR_NAMES, named_allocator
     from coregauge.games import ROOT, Edge, GameInstance, GameKind
     from coregauge.matching import greedy_allocate, integrate_matching, matching_core_allocate
     from coregauge.mst import auxiliary_tree, integrate_mst, mst_allocate, mst_core_allocate
@@ -164,6 +171,12 @@ def _run(src: str, out_path: str) -> None:
                 record = ["err", f"{type(exc).__name__}: {exc}"]
             out.write(json.dumps([name, case, record]) + "\n")
 
+        def named(label, inst, index):
+            for name in ALLOCATOR_NAMES:
+                if inst.n <= TABLE_MAX_AGENTS or name not in EXPONENTIAL_ALLOCATORS:
+                    allocate = named_allocator(name, epsilon=NAMED_EPSILON, base=NAMED_BASE)
+                    emit(f"named {name}{label}", index, lambda: allocate(inst), floats)
+
         for index, (n, edges) in enumerate(tree_games(TREE_GAMES)):
             inst = game(GameKind.MIN_SPANNING_TREE, n, edges)
             w = inst.weights
@@ -178,6 +191,7 @@ def _run(src: str, out_path: str) -> None:
             if n <= TABLE_MAX_AGENTS:
                 emit("coalition_values", index, lambda: coalition_values(inst, w), floats)
                 emit("shapley_sample", index, lambda: shapley_sample(inst, SAMPLED_ORDERINGS, index).values, floats)
+            named("", inst, index)
         for index, (n, edges) in enumerate(matching_games(MATCHING_GAMES)):
             inst = game(GameKind.MATCHING, n, edges)
             w = inst.weights
@@ -197,6 +211,7 @@ def _run(src: str, out_path: str) -> None:
                 emit("coalition_values matching", index, lambda: coalition_values(inst, w), floats)
                 emit("shapley_sample matching", index,
                      lambda: shapley_sample(inst, SAMPLED_ORDERINGS, index).values, floats)
+            named(" matching", inst, index)
         for index, (before, after, base) in enumerate(weight_pairs(WEIGHT_PAIRS)):
             emit("differing_offset_measure", index,
                  lambda: [differing_offset_measure(before, after, base)], floats)
