@@ -109,7 +109,8 @@ def core_check(
     counts at most the largest float (a relaxed bound past it is infinite
     and rounds no further), and each term is multiplied by n*eps before
     the sum, so the allowance stays below 1e-12 times the largest float:
-    an infinite or NaN slack or residual always fails.
+    an infinite or NaN slack or residual always fails. A float sum of the
+    shares past the range is redone exactly, so only a true residual past it is inf.
     """
     if not math.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha}")
@@ -127,6 +128,10 @@ def core_check(
     worst_mask, worst_slack = _worst(slack)  # the grand coalition is handled by the residual
     worst_slack = float(worst_slack)
     grand_residual = abs(float(sums[-1]) - table.grand)
+    if not math.isfinite(sums[-1]) and math.isfinite(table.grand):  # only the float sum is past the range
+        from fractions import Fraction  # the exact residual, read as inf past the float range
+        exact = abs(sum(map(Fraction, x.values)) - Fraction(table.grand))
+        grand_residual = float(exact) if exact <= sys.float_info.max else math.inf
     unit = inst.n * sys.float_info.epsilon
     scaled_max = min(abs(alpha) * max(abs(v) for v in table.values), sys.float_info.max)
     allowance = sum(unit * abs(v) for v in x.values) + unit * scaled_max

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .games import Allocation, GameInstance, GameKind, require_kind
-from .oracles import grand_matching_value
+from .oracles import lazy_coalition_value
 from .rounding import breakpoints, offset_average, round_weights, within_rounding_range
 
 
@@ -93,7 +93,7 @@ def matching_core_allocate(
     require_kind(inst, GameKind.MATCHING)
     if not 0.0 < epsilon <= 0.5:
         raise ValueError(f"epsilon must lie in (0, 1/2], got {epsilon}")
-    grand = float(grand_matching_value(inst, weights))  # refuses large n before the integral runs
+    grand = float(lazy_coalition_value(inst, weights)((1 << inst.n) - 1))  # refuses large n before integrating
     raw = integrate_matching(inst, within_rounding_range(weights), 1.0 + 2.0 * epsilon)
     return normalize_welfare(raw, grand)
 

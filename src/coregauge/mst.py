@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .games import ROOT, Allocation, GameInstance, GameKind, require_kind
 from .matching import normalize_welfare
@@ -131,10 +131,10 @@ def _shares(tree: AuxiliaryTree, rounded: Sequence[float], n: int) -> list[float
     return carried[:n]
 
 
-def connector_sum(tree: AuxiliaryTree, S: Sequence[int] | set[int]) -> float:
+def connector_sum(tree: AuxiliaryTree, S: Iterable[int]) -> float:
     """Telescoped height drop over the minimal subtree joining S and the
     supply leaf, restricted to edges whose subtree avoids the supply."""
-    smask = mask_of(S)
+    smask = mask_of(S, tree.nodes[-1].agent_mask.bit_length())  # the top holds every agent
     total = 0.0
     for node in tree.nodes:
         for c in node.children:

@@ -21,12 +21,13 @@ CHAR_TABLE_MAX_AGENTS = 20
 MONOTONICITY_TOL = 1e-9
 
 
-def mask_of(agents: Iterable[int]) -> int:
-    """Bitmask encoding of an agent subset."""
-    mask = 0
-    for v in agents:
-        mask |= 1 << v
-    return mask
+def mask_of(agents: Iterable[int], n: int) -> int:
+    """Bitmask encoding of a subset of agents 0..n-1: the package's one
+    coalition check, which refuses any other id, the supply vertex included."""
+    members = set(agents)
+    if any(not 0 <= v < n for v in members):
+        raise ValueError(f"subset {sorted(members)} contains non-agent ids")
+    return sum(1 << v for v in members)
 
 
 def agents_of(mask: int) -> tuple[int, ...]:
@@ -113,24 +114,13 @@ def lazy_coalition_value(inst: GameInstance, weights: Sequence) -> Callable[[int
     return cache(partial(_mst_value, list(_kruskal_order(inst, weights)), n=inst.n))
 
 
-def grand_matching_value(inst: GameInstance, weights: Sequence):
-    """``coalition_values(inst, weights)[-1]`` bit for bit, from the
-    single-value driver, within the agent limit of ``coalition_values``."""
-    refuse_past(inst.n, CHAR_TABLE_MAX_AGENTS, "coalition enumeration")
-    mask = (1 << inst.n) - 1
-    return _MatchingValues(_adjacency(inst.edges, weights, mask))[mask]
-
-
 def max_weight_matching(inst: GameInstance, S: Iterable[int]) -> float:
     """Exact maximum matching weight of the subgraph induced by S, from the
     single-value driver: the work is at most 2^|S|, not 2^n, and the agent
     limit of ``coalition_values`` applies to |S|."""
     require_kind(inst, GameKind.MATCHING, "max_weight_matching")
-    members = sorted(set(S))
-    if any(not 0 <= v < inst.n for v in members):
-        raise ValueError(f"subset {members} contains non-agent ids")
-    refuse_past(len(members), CHAR_TABLE_MAX_AGENTS, "coalition enumeration")
-    mask = mask_of(members)
+    mask = mask_of(S, inst.n)
+    refuse_past(mask.bit_count(), CHAR_TABLE_MAX_AGENTS, "coalition enumeration")
     return float(_MatchingValues(_adjacency(inst.edges, inst.weights, mask))[mask])
 
 
@@ -179,10 +169,7 @@ def _mst_value(order: Iterable[tuple], smask: int, n: int, merges: list | None =
 def mst_weight(inst: GameInstance, S: Iterable[int]) -> float:
     """Exact minimum spanning tree weight of the subgraph induced by S + root."""
     require_kind(inst, GameKind.MIN_SPANNING_TREE, "mst_weight")
-    smask = mask_of(S)
-    if smask >> inst.n:
-        raise ValueError("subset contains non-agent ids")
-    return float(_mst_value(_kruskal_order(inst, inst.weights), smask, inst.n))
+    return float(_mst_value(_kruskal_order(inst, inst.weights), mask_of(S, inst.n), inst.n))
 
 
 def char_value(inst: GameInstance, S: Iterable[int]) -> float:
@@ -225,7 +212,6 @@ def marginal_monotonicity_check(
         raise ValueError(f"{v} must be an agent outside S")
     if inst.edges[f].u not in members or inst.edges[f].v not in members:
         raise ValueError(f"edge {f} must have both endpoints in S")
-    with_v = members | {v}
-    lhs = mst_weight(bumped, with_v) - mst_weight(inst, with_v)
-    rhs = mst_weight(bumped, members) - mst_weight(inst, members)
+    rhs = mst_weight(bumped, members) - mst_weight(inst, members)  # first, so that a refusal names S
+    lhs = mst_weight(bumped, members | {v}) - mst_weight(inst, members | {v})
     return lhs <= rhs + MONOTONICITY_TOL

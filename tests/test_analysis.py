@@ -128,6 +128,19 @@ def test_shares_at_the_float_extremes_that_break_a_constraint_fail(inst, x, alph
     assert report.worst_slack < -1e299
 
 
+def test_core_check_takes_the_grand_residual_exactly_when_the_float_sum_overflows():
+    star = matching_instance(3, [(0, 1, 1e308), (0, 2, sys.float_info.max)])
+    x = matching_core_allocate(star, star.weights, 0.25)
+    assert sum(x.values) == math.inf  # each outer share is one ulp above half the float max
+    report = core_check(star, x, 0.25)
+    exact = abs(sum(map(Fraction, x.values)) - Fraction(sys.float_info.max))
+    assert report.passed and report.grand_residual == float(exact) > 0
+    # a residual that is itself past the float range reads inf, and fails
+    over = Allocation.of([sys.float_info.max] * 3)  # two float maxima past the grand value
+    report = core_check(star, over, 0.25)
+    assert report.grand_residual == math.inf and not report.passed
+
+
 @pytest.mark.parametrize("kind", [GameKind.MATCHING, GameKind.MIN_SPANNING_TREE])
 @pytest.mark.parametrize("seed", range(6))
 def test_core_check_reports_the_worst_nonempty_proper_coalition(kind, seed):

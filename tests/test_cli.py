@@ -218,6 +218,22 @@ def test_core_check_with_a_nan_slack_exits_one_with_a_null_slack(runner, tmp_pat
     assert len(result.stderr.splitlines()) == 1
 
 
+def test_core_check_passes_shares_whose_float_sum_is_past_the_float_range(runner, tmp_path):
+    # each outer share is one ulp above half the float max, so their float sum is inf;
+    # the grand residual is then taken exactly, and it is a few ulps
+    path = tmp_path / "star.json"
+    dump_instance(matching_instance(3, [(0, 1, 1e308), (0, 2, sys.float_info.max)]), str(path))
+    allocated = invoke(runner, ["allocate", str(path), "--epsilon", "0.25"])
+    assert allocated.exit_code == 0
+    alloc_path = tmp_path / "alloc.json"
+    alloc_path.write_text(allocated.stdout)
+    result = invoke(runner, ["core-check", str(path), str(alloc_path), "--alpha", "0.25"])
+    assert result.exit_code == 0, result.output
+    payload = payload_of(result)
+    assert payload["pass"] is True
+    assert 0 < payload["grand_residual"] < 1e-15 * sys.float_info.max
+
+
 def test_importing_the_package_loads_no_numpy():
     # nor networkx or scipy, which are installed: the import is most of a CLI run's set-up time
     src = Path(coregauge.__file__).resolve().parents[1]

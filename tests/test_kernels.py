@@ -19,7 +19,6 @@ from coregauge.oracles import (
     agents_of,
     char_value,
     coalition_values,
-    grand_matching_value,
     lazy_coalition_value,
     max_weight_matching,
 )
@@ -66,12 +65,12 @@ def reference_matching_table(inst, weights):
 
 @pytest.mark.parametrize("pool", sorted(WEIGHT_POOLS))
 @pytest.mark.parametrize("n", range(13))
-def test_grand_matching_value_is_the_last_table_entry(n, pool):
+def test_the_lazy_driver_at_the_full_mask_is_the_last_table_entry(n, pool):
     for seed in range(3 if n <= 10 else 1):
         inst = random_game(GameKind.MATCHING, n, seed, pool)
         ints = [int(w * 8) if w < 1e18 else 7 for w in inst.weights]
         for weights in (inst.weights, ints):
-            grand = grand_matching_value(inst, weights)
+            grand = lazy_coalition_value(inst, weights)((1 << n) - 1)
             assert type(grand) is type(coalition_values(inst, weights)[-1])
             assert grand == coalition_values(inst, weights)[-1] == reference_matching_table(inst, weights)[-1]
         assert max_weight_matching(inst, range(n)) == float(coalition_values(inst, inst.weights)[-1])

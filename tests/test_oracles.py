@@ -87,9 +87,9 @@ def test_char_table_mst_three_vertices():
 
 def test_char_table_triangle_pairs():
     table = char_table(TRIANGLE)
-    assert table.values[mask_of([0, 1])] == 3.0
-    assert table.values[mask_of([1, 2])] == 4.0
-    assert table.values[mask_of([0, 2])] == 5.0
+    assert table.values[mask_of([0, 1], 3)] == 3.0
+    assert table.values[mask_of([1, 2], 3)] == 4.0
+    assert table.values[mask_of([0, 2], 3)] == 5.0
     assert table.grand == 5.0
 
 
@@ -116,8 +116,8 @@ def test_matching_oracles_enumerate_at_most_twenty_agents():
 
 
 def test_mask_round_trip():
-    assert agents_of(mask_of([0, 3, 5])) == (0, 3, 5)
-    assert mask_of(agents_of(0b1011)) == 0b1011
+    assert agents_of(mask_of([0, 3, 5], 6)) == (0, 3, 5)
+    assert mask_of(agents_of(0b1011), 4) == 0b1011
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -139,8 +139,8 @@ def _run(src: str, out_path: str) -> None:
     from coregauge.analysis import ALLOCATOR_NAMES, named_allocator
     from coregauge.games import ROOT, Edge, GameInstance, GameKind
     from coregauge.matching import greedy_allocate, integrate_matching, matching_core_allocate
-    from coregauge.mst import auxiliary_tree, integrate_mst, mst_allocate, mst_core_allocate
-    from coregauge.oracles import coalition_values, grand_matching_value, max_weight_matching, mst_weight
+    from coregauge.mst import auxiliary_tree, connector_sum, integrate_mst, mst_allocate, mst_core_allocate
+    from coregauge.oracles import coalition_values, lazy_coalition_value, max_weight_matching, mst_weight
     from coregauge.rounding import breakpoints, differing_offset_measure, round_weights
     from coregauge.shapley import shapley_sample
 
@@ -188,6 +188,7 @@ def _run(src: str, out_path: str) -> None:
             emit("mst_core_allocate", index, lambda: mst_core_allocate(inst, w).values, floats)
             for k, subset in enumerate(subsets(index, n)):
                 emit("mst_weight", f"{index}.{k}", lambda: [mst_weight(inst, subset)], floats)
+                emit("connector_sum", f"{index}.{k}", lambda: [connector_sum(auxiliary_tree(inst, w), subset)], floats)
             if n <= TABLE_MAX_AGENTS:
                 emit("coalition_values", index, lambda: coalition_values(inst, w), floats)
                 emit("shapley_sample", index, lambda: shapley_sample(inst, SAMPLED_ORDERINGS, index).values, floats)
@@ -204,7 +205,8 @@ def _run(src: str, out_path: str) -> None:
             for eps in (0.05, 0.25):
                 emit(f"matching_core_allocate eps={eps}", index,
                      lambda: matching_core_allocate(inst, w, eps).values, floats)
-            emit("grand_matching_value", index, lambda: [grand_matching_value(inst, w)], floats)
+            emit("lazy_coalition_value full mask", index,
+                 lambda: [lazy_coalition_value(inst, w)((1 << inst.n) - 1)], floats)
             for k, subset in enumerate(subsets(index, n)):
                 emit("max_weight_matching", f"{index}.{k}", lambda: [max_weight_matching(inst, subset)], floats)
             if n <= TABLE_MAX_AGENTS:
